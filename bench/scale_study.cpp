@@ -1,4 +1,4 @@
-// Million-user scale benchmark: chunked generation plus the streaming
+// Million-user scale benchmark: chunked generation plus the sharded
 // study engine at N = 100k / 500k / 1M synthetic users, written to
 // BENCH_scale.json.
 //
@@ -15,7 +15,7 @@
 //   * sweep times      — the same replication sweep run serial (threads =
 //                        1), parallel on the shared pool, and parallel
 //                        with a different shard size. The three sweep
-//                        outputs must agree bit for bit: the streaming
+//                        outputs must agree bit for bit: the study
 //                        engine's determinism contract;
 //   * pool counters    — per-configuration deltas of the thread-pool and
 //                        runtime counters (jobs, blocks, steals), so the
@@ -47,7 +47,7 @@
 
 #include "common.hpp"
 #include "obs/export.hpp"
-#include "sim/streaming.hpp"
+#include "sim/study.hpp"
 #include "synth/scale.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -223,8 +223,8 @@ int main() {
     s.activities_total = input.total_activities;
     s.activities_retained = input.dataset.trace.size();
 
-    dosn::sim::StreamingStudy study(input.dataset, seed);
-    dosn::sim::StreamingStudy::Options options;
+    dosn::sim::Study study(input.dataset, seed);
+    dosn::sim::Study::Options options;
     options.cohort_degree = input.cohort_degree;
     options.k_max = 10;
     options.repetitions = 3;
@@ -234,8 +234,8 @@ int main() {
     // cap the evaluated prefix so the sweep time stays bounded while the
     // generation still exercises the full population.
     options.cohort_limit = 20'000;
-    s.cohort_size = study.cohort(options.cohort_degree, options.cohort_limit)
-                        .size();
+    s.cohort_size = std::min(study.cohort(options.cohort_degree).size(),
+                             options.cohort_limit);
 
     const auto sweep_with = [&](dosn::util::ThreadPool* shared,
                                 std::size_t shard_size) {

@@ -1,10 +1,12 @@
-// Shared cohort-reduction helpers for the study engines (sim-internal).
+// Cohort-reduction helpers and RNG stream tags of the study engine
+// (sim-internal).
 //
-// Both Study (the seed path) and StreamingStudy (the sharded scale path)
-// must reduce per-user rows with the exact same floating-point operation
-// order — that shared order is what makes the two engines bit-identical.
-// Keeping the accumulator and the run-averaging in one header removes any
-// chance of the two paths drifting apart.
+// Every sweep reduces per-user rows with CohortAccum in cohort index order
+// and averages repetitions with average_runs; that fixed floating-point
+// operation order is what makes results bit-identical across thread
+// counts and shard sizes. They live in a header of their own so that
+// reference implementations outside the engine (the serial test oracle,
+// the benchmark's traced replay) reduce exactly the way the engine does.
 #pragma once
 
 #include <span>
@@ -82,8 +84,6 @@ inline CohortMetrics average_runs(std::span<const CohortMetrics> runs) {
 
 // Sweep tags feeding sweep_stream: distinct constants per sweep so the
 // same (x, policy, rep) cell of different sweeps never shares a stream.
-// StreamingStudy's replication sweep reuses kReplicationTag — same cells,
-// same streams, bit-identical output to the seed engine.
 constexpr std::uint64_t kReplicationTag = 0x4e97;
 constexpr std::uint64_t kSessionTag = 0x3e55;
 constexpr std::uint64_t kDegreeTag = 0xde60;
@@ -91,9 +91,9 @@ constexpr std::uint64_t kSamplesTag = 0xd158;
 constexpr std::uint64_t kFaultTag = 0xfa17;
 
 /// RNG stream id of the schedule realization for repetition `r` — shared
-/// by Study::replication_sweep, Study::resilience_sweep and the streaming
-/// engine (and by synth::build_scale_study_input for its chunk-built
-/// schedules), so every path sees the same realizations.
+/// by Study::replication_sweep and Study::resilience_sweep (and by
+/// synth::build_scale_study_input for its chunk-built schedules), so every
+/// path sees the same realizations.
 constexpr std::uint64_t schedule_stream(std::uint64_t seed, std::size_t rep) {
   return util::mix64(seed, 0x5ced0000 + rep);
 }

@@ -1,17 +1,18 @@
 // The experiment driver reproducing the paper's evaluation (Sec IV–V).
 //
-// A Study wraps one dataset and runs the three sweeps behind every figure:
+// A Study wraps one dataset and runs the sweeps behind every figure:
 //
 //   * replication_sweep  — metrics vs replication degree k = 0..k_max for
-//     every policy, one online-time model, ConRep or UnconRep
-//     (Figs 3–7, 10, 11);
+//     every policy, one online-time model (or precomputed schedules),
+//     ConRep or UnconRep (Figs 3–7, 10, 11);
 //   * session_length_sweep — metrics vs Sporadic session length at a fixed
 //     k (Fig 8);
 //   * user_degree_sweep — metrics vs user degree 1..d_max with k = degree
 //     (Fig 9);
 //   * resilience_sweep — metrics vs fault intensity at a fixed k: the
 //     hardening ablation, measuring how placements chosen under ideal
-//     assumptions degrade when nodes deviate from their schedules.
+//     assumptions degrade when nodes deviate from their schedules;
+//   * cohort_samples — per-user rows at a fixed k (distribution view).
 //
 // Methodology follows the paper: the evaluation cohort is the users of one
 // particular degree (degree 10 — the best-populated); experiments whose
@@ -19,15 +20,20 @@
 // repeated and averaged (default 5 repetitions); deterministic experiments
 // run once. Everything derives from one seed.
 //
-// Parallel execution: cohort users are evaluated concurrently on a
-// deterministic util::ThreadPool. Every (sweep cell, user) pair draws from
-// its own RNG stream derived with util::mix64, and per-user results are
-// reduced in cohort index order, so for a fixed seed the output is
-// bit-identical for every thread count (Options::threads / DOSN_THREADS),
-// including the serial threads = 1 reference.
+// Every sweep runs through one sharded core: the cohort is cut into
+// fixed-size shards of consecutive cohort indices, one parallel task per
+// shard on a util::ThreadPool, each shard reusing one EvalScratch across
+// its users. Every (sweep cell, user) pair draws from its own RNG stream
+// derived with util::mix64, and per-user rows are reduced serially in
+// cohort index order, so for a fixed seed the output is bit-identical for
+// every thread count and shard size, including the serial threads = 1
+// reference. The core scales to million-user inputs built by
+// synth::build_scale_study_input (the precomputed-schedules overload).
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -52,7 +58,7 @@ struct CohortMetrics {
   std::size_t cohort_size = 0;
 
   /// Exact (bit-level) comparison — the differential tests assert the
-  /// streaming engine reproduces the seed engine bit for bit.
+  /// sharded engine reproduces the serial reference bit for bit.
   friend bool operator==(const CohortMetrics&, const CohortMetrics&) = default;
 };
 
@@ -121,6 +127,22 @@ struct StudyOptions {
   /// environment variable, falling back to the hardware concurrency.
   /// Results are bit-identical for every value; 1 runs fully serial.
   std::size_t threads = 0;
+  /// Cohort users per shard (>= 1), capped at ceil(cohort / workers) so
+  /// small cohorts still fan out. Any value produces bit-identical
+  /// results; larger shards amortize scratch warm-up, smaller shards
+  /// balance load better.
+  std::size_t shard_size = 1024;
+  /// Evaluate only the first `cohort_limit` cohort users (in user-id
+  /// order); 0 = the whole cohort. A deterministic cap for the scale
+  /// bench, where a million-user population yields tens of thousands of
+  /// degree-d cohort users.
+  std::size_t cohort_limit = 0;
+  /// Shared worker pool. When set, sweeps run on this pool (its
+  /// work-stealing runtime stays warm across generation and every sweep —
+  /// no teardown/re-fork between pipeline phases) and `threads` is
+  /// ignored; when null, each sweep constructs its own pool from
+  /// `threads`. Results are bit-identical either way.
+  util::ThreadPool* pool = nullptr;
 };
 
 class Study {
@@ -143,6 +165,16 @@ class Study {
   /// Same sweep with an arbitrary model instance (e.g. a PrecomputedModel
   /// wrapping real session logs).
   SweepResult replication_sweep(const onlinetime::OnlineTimeModel& model,
+                                placement::Connectivity connectivity,
+                                const Options& options = Options{}) const;
+
+  /// Same sweep over precomputed deterministic schedules (one realization
+  /// for every user of the dataset), e.g. the chunk-built schedules of
+  /// synth::build_scale_study_input. Equivalent to a deterministic model
+  /// that returns `schedules`: policy repetitions still follow
+  /// options.repetitions for randomized policies.
+  SweepResult replication_sweep(std::span<const DaySchedule> schedules,
+                                std::string_view model_name,
                                 placement::Connectivity connectivity,
                                 const Options& options = Options{}) const;
 
@@ -191,21 +223,48 @@ class Study {
                                 const Options& options = Options{}) const;
 
  private:
-  /// Averages user metrics over `cohort` for each k in 0..k_max for one
-  /// policy under one set of schedules. Users fan out across `pool`; user
-  /// i draws from the stream mix64(stream_seed, user_id), and per-user
-  /// rows merge in cohort index order, so the result does not depend on
-  /// the pool's thread count.
-  std::vector<CohortMetrics> evaluate_policy_over_ks(
-      std::span<const DaySchedule> schedules,
+  /// The per-user half of a sweep cell: given cohort user `u` and its
+  /// placement `selected`, writes the user's metric rows into `rows`
+  /// (replacing its contents), reusing `scratch` across the shard's users.
+  using UserStep = std::function<void(
+      graph::UserId u, std::span<const graph::UserId> selected,
+      EvalScratch& scratch, std::vector<UserMetrics>& rows)>;
+
+  /// Users with degree `degree`, truncated to options.cohort_limit.
+  std::vector<graph::UserId> sweep_cohort(std::size_t degree,
+                                          const Options& options) const;
+
+  /// The replication sweep over one schedule realization per model
+  /// repetition (a single entry when the model is deterministic).
+  SweepResult replication_sweep_over(
+      std::span<const std::span<const DaySchedule>> realizations,
+      bool model_randomized, std::string_view model_name,
+      placement::Connectivity connectivity, const Options& options) const;
+
+  /// The engine's one per-user placement→evaluate loop. Places replicas
+  /// (at most `max_replicas`) for every cohort user against
+  /// `placement_schedules`, user u drawing from mix64(stream_seed, u),
+  /// then runs `step`, which must emit `rows_per_user` rows. The cohort is
+  /// cut into shards of consecutive indices (one task each on `pool`).
+  /// Returns every user's rows in cohort index order: user i's rows are
+  /// [i * rows_per_user, (i + 1) * rows_per_user).
+  std::vector<UserMetrics> evaluate_cohort(
+      std::span<const DaySchedule> placement_schedules,
       std::span<const graph::UserId> cohort_users,
       const placement::ReplicaPolicy& policy,
-      const placement::PolicyParams& params,
-      placement::Connectivity connectivity, std::size_t k_max,
-      std::uint64_t stream_seed, util::ThreadPool& pool) const;
+      placement::Connectivity connectivity, std::size_t max_replicas,
+      std::uint64_t stream_seed, std::size_t rows_per_user,
+      const UserStep& step, std::size_t shard_size,
+      util::ThreadPool& pool) const;
 
   const trace::Dataset& dataset_;
   std::uint64_t seed_;
 };
+
+/// Order-sensitive FNV-1a checksum over every numeric field of a sweep
+/// (xs, all CohortMetrics doubles bit-patterns, cohort sizes and curve
+/// names). Two sweeps compare equal iff their checksums match in practice;
+/// the scale bench uses it to assert cross-thread/cross-shard identity.
+std::uint64_t sweep_checksum(const SweepResult& result);
 
 }  // namespace dosn::sim

@@ -11,13 +11,13 @@
 // memory is graph + schedules + restricted trace + one chunk, instead of
 // the O(mean_activities · N) full trace.
 //
-// Determinism contract (asserted by tests/test_streaming_equivalence.cpp
-// at small N): with the same preset and seed, the dataset equals the
-// materialized generate_raw() trace restricted to cohort receivers, and
-// the schedules equal SporadicModel::schedules on the materialized
-// dataset under the seed engine's rep-0 schedule stream — so a
-// StreamingStudy sweep over this input is bit-identical to the seed
-// Study path on the materialized dataset.
+// Determinism contract (asserted by tests/test_study_oracle.cpp at small
+// N): with the same preset and seed, the dataset equals the materialized
+// generate_raw() trace restricted to cohort receivers, and the schedules
+// equal SporadicModel::schedules on the materialized dataset under the
+// study engine's rep-0 schedule stream — so a Study sweep over this input
+// (the precomputed-schedules overload) is bit-identical to a Sporadic
+// model sweep on the materialized dataset.
 // Pipelined construction (DESIGN.md §12): the overload taking a
 // util::PipelineRuntime runs the activity generator on a dedicated
 // producer thread, hands chunks to the caller through a bounded

@@ -129,7 +129,11 @@ TEST(TriadicClosure, OnlyAddsEdgesBetweenNeighbors) {
 class SessionFiles : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path(testing::TempDir()) / "dosn_sessions";
+    // Unique per test case: ctest -j runs each case as its own process,
+    // so a shared directory races against a sibling's TearDown.
+    dir_ = std::filesystem::path(testing::TempDir()) /
+           (std::string("dosn_sessions_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

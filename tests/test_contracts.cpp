@@ -5,6 +5,7 @@
 // enforcement.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "placement/super_peer.hpp"
 #include "serve/serving.hpp"
 #include "sim/evaluate.hpp"
+#include "sim/study.hpp"
 #include "trace/dataset.hpp"
 #include "util/alias.hpp"
 #include "util/check.hpp"
@@ -332,6 +334,78 @@ TEST(SimContracts, EvaluateUserRejectsHolderWithoutSchedule) {
   EXPECT_THROW(sim::evaluate_user(dataset, schedules, 1, bogus,
                                   Connectivity::kUnconRep),
                ContractError);
+}
+
+// Study options are checked once at every sweep entry: zero repetitions
+// used to reach average_runs' internal assertion with an empty run list,
+// and a zero shard size was silently clamped to 1.
+class StudyOptionContracts : public ::testing::Test {
+ protected:
+  /// Options every sweep below accepts on the tiny path graph (cohort =
+  /// its two degree-1 endpoints), so a throw can only come from the
+  /// field a test breaks.
+  static sim::StudyOptions valid_options() {
+    sim::StudyOptions options;
+    options.cohort_degree = 1;
+    options.k_max = 1;
+    options.repetitions = 1;
+    options.policies = {placement::PolicyKind::kRandom};
+    options.threads = 1;
+    return options;
+  }
+
+  /// Every Study entry point, each bound to `options`.
+  std::vector<std::function<void()>> sweeps(
+      const sim::StudyOptions& options) const {
+    const auto sporadic = onlinetime::ModelKind::kSporadic;
+    return {
+        [=, this] {
+          (void)study_.replication_sweep(sporadic, {}, Connectivity::kConRep,
+                                         options);
+        },
+        [=, this] {
+          const std::vector<interval::Seconds> lengths{3600};
+          (void)study_.session_length_sweep(lengths, 1,
+                                            Connectivity::kConRep, options);
+        },
+        [=, this] {
+          (void)study_.user_degree_sweep(1, sporadic, {},
+                                         Connectivity::kConRep, options);
+        },
+        [=, this] {
+          const std::vector<double> intensities{0.0};
+          (void)study_.resilience_sweep(sporadic, {}, Connectivity::kConRep,
+                                        net::FaultPlan{}, intensities, 1,
+                                        options);
+        },
+        [=, this] {
+          (void)study_.cohort_samples(sporadic, {}, Connectivity::kConRep,
+                                      placement::PolicyKind::kRandom, 1,
+                                      options);
+        },
+    };
+  }
+
+  trace::Dataset dataset_ = tiny_dataset();
+  sim::Study study_{dataset_, 5};
+};
+
+TEST_F(StudyOptionContracts, ValidOptionsAccepted) {
+  for (const auto& sweep : sweeps(valid_options())) EXPECT_NO_THROW(sweep());
+}
+
+TEST_F(StudyOptionContracts, ZeroRepetitionsFire) {
+  auto options = valid_options();
+  options.repetitions = 0;
+  for (const auto& sweep : sweeps(options))
+    EXPECT_THROW(sweep(), ConfigError);
+}
+
+TEST_F(StudyOptionContracts, ZeroShardSizeFires) {
+  auto options = valid_options();
+  options.shard_size = 0;
+  for (const auto& sweep : sweeps(options))
+    EXPECT_THROW(sweep(), ConfigError);
 }
 
 // -------------------------------------------------------------- scenario

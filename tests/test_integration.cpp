@@ -36,7 +36,9 @@ trace::Dataset* Pipeline::dataset_ = nullptr;
 
 TEST_F(Pipeline, DatasetSurvivesDiskRoundTrip) {
   const auto dir =
-      std::filesystem::path(testing::TempDir()) / "dosn_integration";
+      std::filesystem::path(testing::TempDir()) /
+      (std::string("dosn_integration_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::filesystem::create_directories(dir);
   const auto prefix = (dir / "fb").string();
   trace::save_dataset(prefix, *dataset_);

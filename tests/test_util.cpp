@@ -285,8 +285,16 @@ TEST(Strings, Format) {
   EXPECT_EQ(format_duration_s(30.0), "30 s");
 }
 
+/// A temp-file path unique to the running test case: ctest -j runs each
+/// case as its own process, so a fixed name would race across cases.
+std::string test_temp_path(const std::string& suffix) {
+  return testing::TempDir() + "/dosn_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         suffix;
+}
+
 TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = testing::TempDir() + "/dosn_csv_test.csv";
+  const std::string path = test_temp_path(".csv");
   {
     CsvWriter csv(path);
     csv.header(std::vector<std::string>{"a", "b"});
@@ -302,7 +310,7 @@ TEST(Csv, WritesHeaderAndRows) {
 }
 
 TEST(Csv, QuotesSpecialFields) {
-  const std::string path = testing::TempDir() + "/dosn_csv_quote.csv";
+  const std::string path = test_temp_path(".csv");
   {
     CsvWriter csv(path);
     csv.raw_row(std::vector<std::string>{"plain", "a,b", "say \"hi\""});
@@ -315,7 +323,7 @@ TEST(Csv, QuotesSpecialFields) {
 }
 
 TEST(Csv, SeriesSharedAxis) {
-  const std::string path = testing::TempDir() + "/dosn_csv_series.csv";
+  const std::string path = test_temp_path(".csv");
   std::vector<Series> series{{"s1", {0, 1}, {5, 6}}, {"s2", {0, 1}, {7, 8}}};
   write_series_csv(path, "k", series);
   std::ifstream in(path);
@@ -329,7 +337,7 @@ TEST(Csv, SeriesSharedAxis) {
 
 TEST(Csv, SeriesRejectsMismatchedAxes) {
   std::vector<Series> series{{"s1", {0, 1}, {5, 6}}, {"s2", {0, 2}, {7, 8}}};
-  EXPECT_THROW(write_series_csv(testing::TempDir() + "/x.csv", "k", series),
+  EXPECT_THROW(write_series_csv(test_temp_path(".csv"), "k", series),
                ConfigError);
 }
 

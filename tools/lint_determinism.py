@@ -30,6 +30,13 @@ Rules
                   iteration order provably cannot leak into results carry a
                   `lint:ordered-ok` comment (same line or the line above)
                   with a justification.
+  fixed-tempdir   testing::TempDir() joined to a string literal with no
+                  per-test component: ctest -j runs every test case as its
+                  own process, so a fixed temp path is shared state that a
+                  sibling's cleanup can delete mid-test. Key the path by
+                  current_test_info()->name(). Matched on the raw line (the
+                  hazard is the literal itself), so a join split across
+                  lines is not seen.
 
 Suppressions
 ------------
@@ -102,6 +109,17 @@ RULES = [
     ),
 ]
 
+# Rules matched against the raw line, before strip_comments_and_strings
+# blanks the string literal they are about. A match counts only where the
+# stripped line still holds code, so comments never trip them.
+RAW_RULES = [
+    (
+        "fixed-tempdir",
+        re.compile(r'\bTempDir\(\)\s*\)?\s*[/+]\s*"(?:[^"\\]|\\.)*"(?!\s*[/+])'),
+        "fixed temp path is shared by every test process under ctest -j; add a per-test component (current_test_info()->name())",
+    ),
+]
+
 _BLANK = re.compile(r"[^\n]")
 
 
@@ -161,6 +179,10 @@ def scan_text(text: str, path: str) -> list[tuple[str, int, str, str]]:
             if rule == "unordered-iter" and suppress_ordered:
                 continue
             findings.append((path, lineno, rule, message))
+        for rule, pattern, message in RAW_RULES:
+            in_code = any(code[m.start()] != " " for m in pattern.finditer(raw))
+            if in_code and not suppress_all:
+                findings.append((path, lineno, rule, message))
     return findings
 
 
@@ -209,6 +231,15 @@ SELF_TEST_CASES = [
     ("auto slot = std::hash<std::thread::id>{}(std::this_thread::get_id());", "thread-id"),
     ("std::unordered_map<std::string, std::uint64_t> totals;", "unordered-iter"),
     ("// lint:ordered-ok — totals drained via sorted key copy\nstd::unordered_map<std::string, std::uint64_t> totals;", None),
+    # Temp paths: a fixed name under TempDir() is shared across the test
+    # processes ctest -j runs side by side; a per-test component is not.
+    ('const auto path = testing::TempDir() + "/dosn_out.csv";', "fixed-tempdir"),
+    ('dir_ = std::filesystem::path(testing::TempDir()) / "dosn_sessions";', "fixed-tempdir"),
+    ('dir_ = std::filesystem::path(testing::TempDir()) / (std::string("dosn_") + name);', None),
+    ('return testing::TempDir() + "/dosn_" + name + suffix;', None),
+    ('const auto root = testing::TempDir();', None),
+    ('// never write testing::TempDir() + "/fixed.csv" in a test', None),
+    ('// lint:determinism-ok — the only test in its binary\nconst auto p = testing::TempDir() + "/x.csv";', None),
 ]
 
 
