@@ -261,15 +261,17 @@ void IntervalSet::normalize() {
             [](const Interval& a, const Interval& b) {
               return a.start < b.start;
             });
-  std::vector<Interval> out;
-  out.reserve(intervals_.size());
-  for (const auto& iv : intervals_) {
-    if (!out.empty() && iv.start <= out.back().end)
-      out.back().end = std::max(out.back().end, iv.end);
+  // Merge in place, then release the slack: a set normalized from many
+  // overlapping pieces (a group union) is kept at its canonical size.
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < intervals_.size(); ++i) {
+    if (intervals_[i].start <= intervals_[last].end)
+      intervals_[last].end = std::max(intervals_[last].end, intervals_[i].end);
     else
-      out.push_back(iv);
+      intervals_[++last] = intervals_[i];
   }
-  intervals_ = std::move(out);
+  intervals_.resize(last + 1);
+  intervals_.shrink_to_fit();
 }
 
 IntervalSet operator|(const IntervalSet& a, const IntervalSet& b) {

@@ -1,8 +1,6 @@
 #include "serve/serving.hpp"
 
 #include <algorithm>
-#include <array>
-#include <map>
 #include <optional>
 
 #include "interval/day_schedule.hpp"
@@ -11,7 +9,6 @@
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace dosn::serve {
 
@@ -90,13 +87,34 @@ struct GroupTimeline {
   /// (empty under every other regime — and under the threshold-1.0
   /// degeneracy, which is what keeps that path bit-identical).
   std::vector<graph::UserId> storekeepers;
-  std::vector<Interval> online;
+  IntervalSet online;
   /// kSocialDht only: realized union of the non-owner responsible nodes —
   /// the surface a DHT put must reach for durability.
-  std::vector<Interval> store;
-  std::vector<Interval> ideal;
-  std::vector<Interval> hedge;
+  IntervalSet store;
+  IntervalSet ideal;
+  IntervalSet hedge;
 };
+
+/// One group member as the fault layer sees it: `node` is the member's
+/// index in its group (owner 0, then the selection, then storekeepers),
+/// which keys the injector's per-node stream.
+struct Member {
+  std::size_t node;
+  const DaySchedule* schedule;
+};
+
+/// Canonical union of `members`' absolute sessions under `injector`: all
+/// pieces appended into one list and normalized once. A set has exactly
+/// one canonical form, so the append order cannot reach the result.
+IntervalSet union_sessions(net::FaultInjector& injector,
+                           std::span<const Member> members, int horizon_days) {
+  std::vector<Interval> pieces;
+  for (const Member& m : members) {
+    const auto sessions = injector.sessions(m.node, *m.schedule, horizon_days);
+    pieces.insert(pieces.end(), sessions.begin(), sessions.end());
+  }
+  return IntervalSet(std::move(pieces));
+}
 
 /// Wait from `t` until `pieces` (canonical absolute intervals) next
 /// covers an instant; nullopt when nothing remains within the horizon.
@@ -144,7 +162,7 @@ struct RunContext {
   bool flash;
   /// Relay availability under UnconRep: canonical outage windows clipped
   /// to the horizon (explicit plan windows — identical for every user).
-  std::vector<Interval> relay_outages;
+  IntervalSet relay_outages;
   /// Storage regime of the run (mirrors config.regime).
   placement::StorageRegime regime = placement::StorageRegime::kReplicaGroup;
   /// Scaled ring under kSocialDht; null otherwise.
@@ -163,10 +181,11 @@ struct RunContext {
   /// Wait from `t` until the relay is reachable (0 when no outage covers
   /// t). Only meaningful under UnconRep.
   Seconds relay_wait(SimTime t) const {
+    const auto outages = relay_outages.pieces();
     const auto it = std::upper_bound(
-        relay_outages.begin(), relay_outages.end(), t,
+        outages.begin(), outages.end(), t,
         [](SimTime v, const Interval& w) { return v < w.end; });
-    if (it == relay_outages.end() || !it->contains(t)) return 0;
+    if (it == outages.end() || !it->contains(t)) return 0;
     return it->end - t;
   }
 
@@ -174,6 +193,18 @@ struct RunContext {
     net::FaultPlan plan = config.faults;
     plan.seed = util::mix64(plan.seed, user);
     return plan;
+  }
+
+  /// `user`'s requests: the base workload merged with its flash-crowd
+  /// extras. The group-table pre-pass and serve_user share this source.
+  std::vector<Request> requests(graph::UserId user) const {
+    const std::size_t degree = dataset.graph.contacts(user).size();
+    auto base = user_requests(config.workload, seed, user, degree);
+    if (!flash) return base;
+    return merge_requests(
+        std::move(base),
+        flash_requests(config.workload, config.faults.scenario,
+                       config.faults.seed, user, degree));
   }
 
   /// Selection plus realized group sessions for `user`'s profile. A pure
@@ -205,9 +236,7 @@ struct RunContext {
       // target; crashed volunteers are skipped (graceful re-assignment).
       // An empty directory (threshold 1.0) assigns nobody and the path
       // below is bit-identical to kReplicaGroup.
-      std::vector<graph::UserId> group;
-      group.reserve(g.selection.size() + 1);
-      group.push_back(user);
+      std::vector<graph::UserId> group{user};
       group.insert(group.end(), g.selection.begin(), g.selection.end());
       g.storekeepers = directory->assign_storekeepers(
           user, group, seed, [this](graph::UserId v) {
@@ -215,114 +244,105 @@ struct RunContext {
           });
     }
 
+    // Members in fault-stream order: owner, selection, storekeepers.
+    std::vector<Member> members{{0, &schedules[user]}};
+    for (const auto* ids : {&g.selection, &g.storekeepers})
+      for (const graph::UserId v : *ids)
+        members.push_back({members.size(), &schedules[v]});
+    const int days = config.workload.horizon_days;
+
     net::FaultInjector injector(plan_for(user));
-    IntervalSet online;
-    IntervalSet store;  // kSocialDht write surface: non-owner holders
-    const bool dht_regime = regime == placement::StorageRegime::kSocialDht;
-    const auto add_sessions = [&](std::size_t node_index,
-                                  const DaySchedule& schedule) {
-      for (const auto& iv :
-           injector.sessions(node_index, schedule, config.workload.horizon_days)) {
-        online.add(iv.start, iv.end);
-        if (dht_regime && node_index > 0) store.add(iv.start, iv.end);
-      }
-    };
-    add_sessions(0, schedules[user]);
-    for (std::size_t i = 0; i < g.selection.size(); ++i)
-      add_sessions(i + 1, schedules[g.selection[i]]);
-    for (std::size_t i = 0; i < g.storekeepers.size(); ++i)
-      add_sessions(g.selection.size() + 1 + i, schedules[g.storekeepers[i]]);
-    g.online.assign(online.pieces().begin(), online.pieces().end());
-    if (dht_regime) g.store.assign(store.pieces().begin(), store.pieces().end());
+    g.online = union_sessions(injector, members, days);
+    if (regime == placement::StorageRegime::kSocialDht)
+      g.store = union_sessions(injector, std::span(members).subspan(1), days);
 
     if (resilient) {
       // Advertised (unfaulted) surfaces for the resilience paths, built
       // through a zero-plan injector so they share the realized surface's
       // event structure exactly — under the zero plan ideal == online.
-      const auto member_schedule =
-          [&](std::size_t m) -> const DaySchedule& {
-        if (m == 0) return schedules[user];
-        if (m <= g.selection.size()) return schedules[g.selection[m - 1]];
-        return schedules[g.storekeepers[m - 1 - g.selection.size()]];
-      };
-      const std::size_t members =
-          1 + g.selection.size() + g.storekeepers.size();
       net::FaultInjector unfaulted{net::FaultPlan{}};
-      IntervalSet ideal;
-      for (std::size_t m = 0; m < members; ++m)
-        for (const auto& iv :
-             unfaulted.sessions(m, member_schedule(m),
-                                config.workload.horizon_days))
-          ideal.add(iv.start, iv.end);
-      g.ideal.assign(ideal.pieces().begin(), ideal.pieces().end());
+      g.ideal = union_sessions(unfaulted, members, days);
 
       if (config.resilience.hedged_reads) {
         // Top-2 members by advertised daily online time (ties to the
         // lower member index — owner first, then selection order).
-        std::size_t first = 0, second = members;
-        for (std::size_t m = 1; m < members; ++m) {
-          const Seconds secs = member_schedule(m).online_seconds();
-          if (secs > member_schedule(first).online_seconds()) {
-            second = first;
-            first = m;
-          } else if (second == members ||
-                     secs > member_schedule(second).online_seconds()) {
-            second = m;
-          }
-        }
-        IntervalSet hedge;
-        const auto add_hedge = [&](std::size_t m) {
-          for (const auto& iv :
-               unfaulted.sessions(m, member_schedule(m),
-                                  config.workload.horizon_days))
-            hedge.add(iv.start, iv.end);
-        };
-        add_hedge(first);
-        if (second < members) add_hedge(second);
-        g.hedge.assign(hedge.pieces().begin(), hedge.pieces().end());
+        std::vector<Member> top = members;
+        std::stable_sort(top.begin(), top.end(), [](const Member& a,
+                                                    const Member& b) {
+          return a.schedule->online_seconds() > b.schedule->online_seconds();
+        });
+        top.resize(std::min<std::size_t>(top.size(), 2));
+        g.hedge = union_sessions(unfaulted, top, days);
       }
     }
     return g;
   }
 };
 
-/// Sharded memo of realized group timelines. Feed fan-in touches every
-/// friend of every served user — including hubs whose greedy placement is
-/// expensive — and popular profiles recur across served users, so each
-/// referenced profile is realized exactly once per run. Caching cannot
-/// reach a result bit: realize_group is a pure function of (seed, user),
-/// and computing under the shard lock keeps the placement obs counters at
-/// one realization per unique profile (a thread-count-invariant total).
-/// Keyed access only — the maps are never iterated, so container order
-/// cannot leak into any result.
-class GroupCache {
- public:
-  explicit GroupCache(const RunContext& run) : run_(run) {}
+/// The run's realized groups: every profile the served users' requests
+/// reference, realized exactly once before the request phase. `profiles`
+/// is sorted and unique; `groups[i]` realizes `profiles[i]`. Read-only
+/// while requests are served, so workers share it without locks.
+struct GroupTable {
+  std::vector<graph::UserId> profiles;
+  std::vector<GroupTimeline> groups;
 
-  const GroupTimeline& get(graph::UserId user) {
-    Shard& shard = shards_[user % kShards];
-    util::MutexLock lock(shard.mutex);
-    const auto [it, inserted] = shard.groups.try_emplace(user);
-    if (inserted) it->second = run_.realize_group(user);
-    return it->second;
+  const GroupTimeline& at(graph::UserId user) const {
+    const auto it = std::lower_bound(profiles.begin(), profiles.end(), user);
+    DOSN_CHECK(it != profiles.end() && *it == user,
+               "serving: profile ", user, " missing from the group table");
+    return groups[static_cast<std::size_t>(it - profiles.begin())];
   }
-
- private:
-  static constexpr std::size_t kShards = 64;
-  struct Shard {
-    util::Mutex mutex;
-    std::map<graph::UserId, GroupTimeline> groups DOSN_GUARDED_BY(mutex);
-  };
-
-  const RunContext& run_;
-  std::array<Shard, kShards> shards_;
 };
+
+/// Profiles `user`'s requests read: its own (always), each profile-read
+/// target, and every contact once it assembles a feed.
+std::vector<graph::UserId> referenced_profiles(const RunContext& run,
+                                               graph::UserId user) {
+  const auto contacts = run.dataset.graph.contacts(user);
+  std::vector<graph::UserId> refs{user};
+  if (contacts.empty()) return refs;
+  for (const Request& r : run.requests(user)) {
+    if (r.kind == RequestKind::kProfileRead) {
+      refs.push_back(contacts[r.target_index % contacts.size()]);
+    } else if (r.kind == RequestKind::kFeedAssembly) {
+      refs.insert(refs.end(), contacts.begin(), contacts.end());
+      break;  // every contact is in; later reads add nothing
+    }
+  }
+  return refs;
+}
+
+/// Pre-pass over the served users, then one parallel realization of the
+/// sorted, deduplicated profile list into the dense table. Realization is
+/// a pure function of (seed, user), so the table — and the placement obs
+/// counters, one selection per profile — is thread-count invariant.
+GroupTable build_group_table(const RunContext& run,
+                             std::span<const graph::UserId> served,
+                             util::ThreadPool* pool) {
+  std::vector<std::vector<graph::UserId>> refs(served.size());
+  util::parallel_for_each(pool, served.size(), [&](std::size_t i) {
+    refs[i] = referenced_profiles(run, served[i]);
+  });
+  GroupTable table;
+  for (const auto& r : refs)
+    table.profiles.insert(table.profiles.end(), r.begin(), r.end());
+  std::sort(table.profiles.begin(), table.profiles.end());
+  table.profiles.erase(
+      std::unique(table.profiles.begin(), table.profiles.end()),
+      table.profiles.end());
+  table.groups.resize(table.profiles.size());
+  util::parallel_for_each(pool, table.profiles.size(), [&](std::size_t i) {
+    table.groups[i] = run.realize_group(table.profiles[i]);
+  });
+  return table;
+}
 
 /// Read latency of one profile fetch at time t against `group` (nullopt:
 /// unreachable within the horizon). Crypto cost is added by the caller.
 std::optional<Seconds> fetch_wait(const RunContext& run,
                                   const GroupTimeline& group, SimTime t) {
-  const auto group_wait = wait_within(group.online, t);
+  const auto group_wait = wait_within(group.online.pieces(), t);
   if (!run.relay_exists()) return group_wait;
   const Seconds relay = run.relay_wait(t);
   if (!group_wait) return relay;
@@ -369,7 +389,8 @@ FetchOutcome resilient_fetch(const RunContext& run,
     // Primary not done by the hedge delay: launch the hedge against the
     // top-2 members' advertised surface.
     out.hedged = true;
-    const auto hedge = arrival_within(group.hedge, t + p.hedge_delay);
+    const auto hedge =
+        arrival_within(group.hedge.pieces(), t + p.hedge_delay);
     if (hedge && (!best || *hedge < *best)) {
       best = hedge;
       out.hedge_win = true;
@@ -379,7 +400,7 @@ FetchOutcome resilient_fetch(const RunContext& run,
     // The freshest gossip-cached copy: retrievable from the give-up
     // instant onward whenever a group member would be online per its
     // advertised schedule, at the staleness tax.
-    const auto cached = arrival_within(group.ideal, t);
+    const auto cached = arrival_within(group.ideal.pieces(), t);
     if (cached) {
       const SimTime stale =
           std::max(give_up_instant(p, t), *cached) + p.stale_read_tax;
@@ -406,21 +427,12 @@ FetchOutcome resilient_fetch(const RunContext& run,
   return out;
 }
 
-void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
-                UserLoad& load) {
+void serve_user(const RunContext& run, const GroupTable& groups,
+                graph::UserId user, UserLoad& load) {
   const auto contacts = run.dataset.graph.contacts(user);
-  auto requests = user_requests(run.config.workload, run.seed, user,
-                                contacts.size());
-  if (run.flash)
-    requests = merge_requests(
-        std::move(requests),
-        flash_requests(run.config.workload, run.config.faults.scenario,
-                       run.config.faults.seed, user, contacts.size()));
+  const auto requests = run.requests(user);
 
-  const GroupTimeline& own = cache.get(user);
-  const auto friend_group = [&](std::size_t i) -> const GroupTimeline& {
-    return cache.get(contacts[i]);
-  };
+  const GroupTimeline& own = groups.at(user);
   const bool dht_regime =
       run.regime == placement::StorageRegime::kSocialDht;
 
@@ -431,8 +443,8 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
   load.regime.replica_holders +=
       own.selection.size() + own.storekeepers.size();
   load.regime.storekeepers += own.storekeepers.size();
-  for (const Interval& iv : own.online)
-    load.regime.online_seconds += static_cast<std::uint64_t>(iv.end - iv.start);
+  load.regime.online_seconds +=
+      static_cast<std::uint64_t>(own.online.measure());
 
   // Post writes run through the event-driven replica simulator: the write
   // requests become UpdateSpecs (origin 0 = the owner) and ConRep
@@ -462,17 +474,13 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
   // Upload surface for UnconRep writes: owner online while the relay is
   // up (own.online includes the replicas; re-derive the owner's sessions
   // alone only when needed).
-  std::vector<Interval> upload;
+  IntervalSet upload;
   if (run.relay_exists() && !writes.empty()) {
     net::FaultInjector injector(run.plan_for(user));
-    IntervalSet owner_online;
-    for (const auto& iv : injector.sessions(0, run.schedules[user],
-                                            run.config.workload.horizon_days))
-      owner_online.add(iv.start, iv.end);
-    IntervalSet outages{std::vector<Interval>(run.relay_outages.begin(),
-                                              run.relay_outages.end())};
-    const auto up = owner_online.subtract(outages);
-    upload.assign(up.pieces().begin(), up.pieces().end());
+    const Member owner{0, &run.schedules[user]};
+    upload = union_sessions(injector, {&owner, 1},
+                            run.config.workload.horizon_days)
+                 .subtract(run.relay_outages);
   }
 
   ServeMetrics& metrics = serve_metrics();
@@ -506,9 +514,10 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
                          static_cast<Seconds>(l.hops);
           }
           if (!run.resilient) {
-            latency = fetch_wait(run, friend_group(target), r.time);
+            latency = fetch_wait(run, groups.at(contacts[target]), r.time);
           } else {
-            const auto o = resilient_fetch(run, friend_group(target), r.time);
+            const auto o =
+                resilient_fetch(run, groups.at(contacts[target]), r.time);
             note_fetch(o);
             if (o.arrival) latency = *o.arrival - r.time;
           }
@@ -548,7 +557,7 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
           Seconds slowest = 0;
           bool complete = true;
           for (std::size_t i = 0; i < contacts.size(); ++i) {
-            const auto wait = fetch_wait(run, friend_group(i), r.time);
+            const auto wait = fetch_wait(run, groups.at(contacts[i]), r.time);
             if (!wait) {
               complete = false;
               break;
@@ -576,7 +585,7 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
         bool budgetable = p.degrade_feeds;
         SimTime ideal_done = r.time;
         for (std::size_t i = 0; i < contacts.size(); ++i) {
-          const GroupTimeline& fg = friend_group(i);
+          const GroupTimeline& fg = groups.at(contacts[i]);
           const auto o = resilient_fetch(run, fg, r.time);
           note_fetch(o);
           if (o.arrival) {
@@ -586,7 +595,7 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
             reachable = false;
           }
           if (budgetable) {
-            const auto ideal = arrival_within(fg.ideal, r.time);
+            const auto ideal = arrival_within(fg.ideal.pieces(), r.time);
             if (ideal)
               ideal_done = std::max(ideal_done, *ideal);
             else
@@ -634,9 +643,9 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
           // owner is the whole responsible set) stores locally.
           latency = own.selection.empty()
                         ? std::optional<Seconds>(0)
-                        : wait_within(own.store, r.time);
+                        : wait_within(own.store.pieces(), r.time);
         } else if (run.relay_exists()) {
-          latency = wait_within(upload, r.time);
+          latency = wait_within(upload.pieces(), r.time);
         } else if (!simulate_writes) {
           latency = 0;  // single-node group: local durability
         } else {
@@ -808,21 +817,20 @@ ServingReport run_serving_study(const trace::Dataset& dataset,
   };
 
   if (run.relay_exists()) {
-    IntervalSet outages;
+    std::vector<Interval> outages;
     for (const auto& w : config.faults.relay_outages) {
       const SimTime start = std::min<SimTime>(w.start, run.horizon);
       const SimTime end = std::min<SimTime>(w.end, run.horizon);
-      if (start < end) outages.add(start, end);
+      if (start < end) outages.push_back({start, end});
     }
-    run.relay_outages.assign(outages.pieces().begin(),
-                             outages.pieces().end());
+    run.relay_outages = IntervalSet(std::move(outages));
   }
 
   // Fan out into per-index slots; stealing reorders execution only.
-  GroupCache cache(run);
+  const GroupTable groups = build_group_table(run, cohort.first(served), pool);
   std::vector<UserLoad> loads(served);
   util::parallel_for_each(pool, served, [&](std::size_t i) {
-    serve_user(run, cache, cohort[i], loads[i]);
+    serve_user(run, groups, cohort[i], loads[i]);
   });
 
   // Serial reduction in cohort order: the one floating-point-free fold

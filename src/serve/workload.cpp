@@ -19,16 +19,28 @@ inline constexpr std::uint64_t kWorkloadTag = 0x53455256'574b4c44ULL;  // "SERVW
 /// crowd realizations on the same base streams).
 inline constexpr std::uint64_t kFlashTag = 0x53455256'464c5348ULL;  // "SERVFLSH"
 
-/// Draws one request's (kind, target) pair from `rng` — the shared draw
-/// discipline of the base and flash streams (two draws, kind-independent).
-void draw_kind_and_target(const WorkloadConfig& config, util::Rng& rng,
-                          std::uint64_t target_support, Request& r) {
-  const double mix = rng.uniform();
-  r.kind = mix < config.read_fraction ? RequestKind::kProfileRead
-           : mix < config.read_fraction + config.feed_fraction
-               ? RequestKind::kFeedAssembly
-               : RequestKind::kPostWrite;
-  r.target_index = static_cast<std::uint32_t>(rng.below(target_support));
+/// Appends Poisson arrivals at `rate` per second in (start, end) drawn
+/// from `rng` — the shared draw discipline of the base and flash streams:
+/// per request one inter-arrival gap, then a kind and a target draw
+/// whatever the kind. Double accumulation is deterministic (same draws,
+/// same order, portable Rng::exponential).
+void append_arrivals(const WorkloadConfig& config, util::Rng& rng,
+                     double rate, double start, double end,
+                     std::size_t degree, std::vector<Request>& out) {
+  const std::uint64_t target_support =
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(degree));
+  for (double t = start + rng.exponential(rate); t < end;
+       t += rng.exponential(rate)) {
+    Request r;
+    r.time = static_cast<net::SimTime>(t);
+    const double mix = rng.uniform();
+    r.kind = mix < config.read_fraction ? RequestKind::kProfileRead
+             : mix < config.read_fraction + config.feed_fraction
+                 ? RequestKind::kFeedAssembly
+                 : RequestKind::kPostWrite;
+    r.target_index = static_cast<std::uint32_t>(rng.below(target_support));
+    out.push_back(r);
+  }
 }
 }  // namespace
 
@@ -61,21 +73,8 @@ std::vector<Request> user_requests(const WorkloadConfig& config,
                            static_cast<double>(interval::kDaySeconds);
   const double rate_per_s = config.requests_per_user_per_day /
                             static_cast<double>(interval::kDaySeconds);
-  const std::uint64_t target_support =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(degree));
-
   std::vector<Request> out;
-  // Poisson arrivals: accumulate exponential inter-arrival gaps until the
-  // horizon is exceeded. Double accumulation is deterministic (same draws,
-  // same order, portable Rng::exponential).
-  double t = rng.exponential(rate_per_s);
-  while (t < horizon_s) {
-    Request r;
-    r.time = static_cast<net::SimTime>(t);
-    draw_kind_and_target(config, rng, target_support, r);
-    out.push_back(r);
-    t += rng.exponential(rate_per_s);
-  }
+  append_arrivals(config, rng, rate_per_s, 0.0, horizon_s, degree, out);
   return out;
 }
 
@@ -89,8 +88,6 @@ std::vector<Request> flash_requests(const WorkloadConfig& config,
                            static_cast<double>(interval::kDaySeconds);
   const double base_rate = config.requests_per_user_per_day /
                            static_cast<double>(interval::kDaySeconds);
-  const std::uint64_t target_support =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(degree));
 
   std::vector<Request> out;
   for (std::size_t e = 0; e < scenario.flash_crowds.size(); ++e) {
@@ -104,14 +101,8 @@ std::vector<Request> flash_requests(const WorkloadConfig& config,
     // Gaps accumulate from the (scale-invariant) window start, so a
     // scaled (shorter) window keeps exactly the prefix of this stream's
     // arrivals — the nesting guarantee.
-    double t = static_cast<double>(crowd.start) + rng.exponential(rate);
-    while (t < end) {
-      Request r;
-      r.time = static_cast<net::SimTime>(t);
-      draw_kind_and_target(config, rng, target_support, r);
-      out.push_back(r);
-      t += rng.exponential(rate);
-    }
+    append_arrivals(config, rng, rate, static_cast<double>(crowd.start), end,
+                    degree, out);
   }
   if (scenario.flash_crowds.size() > 1)
     std::stable_sort(out.begin(), out.end(),

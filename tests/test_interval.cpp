@@ -42,6 +42,9 @@ TEST(IntervalSet, NormalizesOverlapsAndAdjacency) {
   EXPECT_EQ(s.measure(), 40);
   EXPECT_EQ(s.pieces()[0], (Interval{10, 40}));
   EXPECT_EQ(s.pieces()[1], (Interval{50, 60}));
+  // Unsorted, nested and repeated pieces normalize to the same set.
+  EXPECT_EQ(make({{50, 60}, {30, 40}, {12, 14}, {15, 30}, {10, 20}, {50, 60}}),
+            s);
 }
 
 TEST(IntervalSet, AddMergesNeighbours) {

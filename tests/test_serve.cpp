@@ -1,13 +1,14 @@
 // Tests for the request-level serving layer: histogram quantile contract
 // against a sorted-vector oracle, workload determinism, serving semantics
 // against hand-computed waits, bit-identity across thread counts and
-// observability settings, and exact SLO-miss monotonicity under nested
-// fault intensities.
+// observability settings, one realization per referenced profile, and
+// exact SLO-miss monotonicity under nested fault intensities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -340,29 +341,95 @@ ServingConfig small_config() {
   return config;
 }
 
+ResiliencePolicy full_resilience() {
+  ResiliencePolicy p;
+  p.hedged_reads = true;
+  p.stale_failover = true;
+  p.degrade_feeds = true;
+  return p;
+}
+
 TEST(ServingTest, BitIdenticalAcrossThreadCountsAndObservability) {
   const auto input = small_input();
   ASSERT_GE(input.cohort.size(), 24u);
-  const auto config = small_config();
+  // The churn base, and a flash crowd under a resilient policy. Without
+  // feeds (which reference every contact), the flash extras add read
+  // targets the group table must hold too.
+  auto flash = small_config();
+  flash.workload.feed_fraction = 0.0;
+  flash.faults.scenario = net::parse_scenario(
+      "flash_crowd start=86400 end=345600 load_multiplier=4\n");
+  flash.resilience = full_resilience();
 
-  const auto serial = run_serving_study(input.dataset, input.schedules,
+  std::uint64_t base_requests = 0;
+  for (const auto& config : {small_config(), flash}) {
+    const auto serial = run_serving_study(input.dataset, input.schedules,
+                                          input.cohort, 11, config);
+    EXPECT_GT(serial.requests, base_requests);
+    EXPECT_GT(serial.request_log_checksum, 0u);
+    base_requests = serial.requests;
+
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      util::ThreadPool pool(threads);
+      const auto parallel = run_serving_study(
+          input.dataset, input.schedules, input.cohort, 11, config, &pool);
+      EXPECT_EQ(parallel, serial) << threads << " threads";
+    }
+
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(false);
+    const auto dark = run_serving_study(input.dataset, input.schedules,
                                         input.cohort, 11, config);
-  EXPECT_GT(serial.requests, 0u);
-  EXPECT_GT(serial.request_log_checksum, 0u);
-
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    const auto parallel = run_serving_study(input.dataset, input.schedules,
-                                            input.cohort, 11, config, &pool);
-    EXPECT_EQ(parallel, serial) << threads << " threads";
+    obs::set_enabled(was_enabled);
+    EXPECT_EQ(dark, serial);
   }
+}
 
+TEST(ServingTest, RealizesEachReferencedProfileExactlyOnce) {
+  const auto input = small_input();
+  auto config = small_config();
+  ASSERT_GE(input.cohort.size(), config.served_users);
+
+  // Referenced profiles: each served user's own, its read targets, and
+  // all of its contacts once it assembles a feed.
+  std::set<graph::UserId> referenced;
+  for (std::size_t i = 0; i < config.served_users; ++i) {
+    const graph::UserId u = input.cohort[i];
+    const auto contacts = input.dataset.graph.contacts(u);
+    referenced.insert(u);
+    if (contacts.empty()) continue;
+    for (const auto& r :
+         user_requests(config.workload, 11, u, contacts.size())) {
+      if (r.kind == RequestKind::kProfileRead)
+        referenced.insert(contacts[r.target_index % contacts.size()]);
+      if (r.kind == RequestKind::kFeedAssembly)
+        referenced.insert(contacts.begin(), contacts.end());
+    }
+  }
+  ASSERT_GT(referenced.size(), config.served_users);
+
+  // Realizations counted as MaxAv selections (one per realized group).
   const bool was_enabled = obs::enabled();
-  obs::set_enabled(false);
-  const auto dark = run_serving_study(input.dataset, input.schedules,
-                                      input.cohort, 11, config);
+  obs::set_enabled(true);
+  const obs::Counter& selections =
+      obs::Registry::global().counter("placement.maxav.selections");
+  const auto realized = [&](std::size_t threads) {
+    util::ThreadPool pool(threads);
+    const std::uint64_t before = selections.value();
+    run_serving_study(input.dataset, input.schedules, input.cohort, 11,
+                      config, &pool);
+    return selections.value() - before;
+  };
+  for (const std::size_t threads : {1u, 4u})
+    EXPECT_EQ(realized(threads), referenced.size()) << threads << " threads";
+
+  // Writes only touch the served users' own groups.
+  config.workload.read_fraction = 0.0;
+  config.workload.feed_fraction = 0.0;
+  for (const std::size_t threads : {1u, 4u})
+    EXPECT_EQ(realized(threads), config.served_users)
+        << threads << " threads, writes only";
   obs::set_enabled(was_enabled);
-  EXPECT_EQ(dark, serial);
 }
 
 TEST(ServingTest, SloMissesMonotoneUnderScaledFaults) {
@@ -394,14 +461,6 @@ TEST(ServingTest, SloMissesMonotoneUnderScaledFaults) {
 }
 
 // ------------------------------------------------------------ resilience
-
-ResiliencePolicy full_resilience() {
-  ResiliencePolicy p;
-  p.hedged_reads = true;
-  p.stale_failover = true;
-  p.degrade_feeds = true;
-  return p;
-}
 
 /// The per-request outcomes two reports share when the resilience policy
 /// never fires: the request log plus every latency/SLO aggregate (the
