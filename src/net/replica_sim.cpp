@@ -1,8 +1,10 @@
 #include "net/replica_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/obs.hpp"
+#include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace dosn::net {
@@ -18,6 +20,8 @@ inline constexpr std::int64_t kGroupSizeBounds[] = {1, 2, 4, 8, 16, 32, 64};
 struct SimMetrics {
   obs::Counter& runs =
       obs::Registry::global().counter("net.replica_sim.runs");
+  obs::Counter& events =
+      obs::Registry::global().counter("net.replica_sim.events");
   obs::Counter& updates =
       obs::Registry::global().counter("net.replica_sim.updates");
   obs::Counter& deliveries =
@@ -37,7 +41,7 @@ SimMetrics& sim_metrics() {
 // (half-open intervals: a node is not online at its interval end), then
 // online transitions, then update injections (an update at the instant a
 // node comes online is received by it).
-enum class EventKind {
+enum class EventKind : std::uint8_t {
   kRelayDown = 0,
   kRelayUp = 1,
   kOffline = 2,
@@ -45,50 +49,78 @@ enum class EventKind {
   kUpdate = 4,
 };
 
-struct RawEvent {
+struct Event {
   SimTime time;
   EventKind kind;
   std::size_t node;
   std::size_t update = 0;  // for kUpdate
 };
 
+/// The firing order: (time, kind, node, update). Every event of one run
+/// has a distinct key, so the order is total.
+bool fires_before(const Event& a, const Event& b) {
+  if (a.time != b.time) return a.time < b.time;
+  if (a.kind != b.kind) return a.kind < b.kind;
+  if (a.node != b.node) return a.node < b.node;
+  return a.update < b.update;
+}
+
+/// Merges the consecutive sorted runs of `events` that `bounds` delimits
+/// (run r is [bounds[r], bounds[r + 1])) pairwise, bottom-up: O(E log
+/// runs) instead of a full sort.
+void merge_runs(std::vector<Event>& events,
+                std::span<const std::size_t> bounds) {
+  const std::size_t runs = bounds.size() - 1;
+  const auto at = [&](std::size_t r) {
+    return events.begin() +
+           static_cast<std::ptrdiff_t>(bounds[std::min(r, runs)]);
+  };
+  for (std::size_t width = 1; width < runs; width *= 2)
+    for (std::size_t r = 0; r + width < runs; r += 2 * width)
+      std::inplace_merge(at(r), at(r + width), at(r + 2 * width),
+                         fires_before);
+}
+
+/// Online group state as word bitsets over the updates: one known-set row
+/// per node, the live group's shared set, and the relay's stored set.
 class GroupState {
  public:
   GroupState(std::size_t nodes, std::size_t updates, bool persistent_store)
       : persistent_(persistent_store),
-        known_(nodes, std::vector<bool>(updates, false)),
-        group_(updates, false),
-        relay_(updates, false),
-        online_(nodes, false) {}
+        words_((updates + 63) / 64),
+        known_(nodes * words_, 0),
+        group_(words_, 0),
+        relay_(words_, 0),
+        online_(nodes, 0) {}
 
-  bool online(std::size_t i) const { return online_[i]; }
+  bool online(std::size_t i) const { return online_[i] != 0; }
 
   /// Node i joins the online group at time t; returns for each side the
   /// newly learned updates via `record`.
   template <typename Record>
   void join(std::size_t i, SimTime t, Record&& record) {
-    DOSN_ASSERT(!online_[i]);
-    if (online_count_ == 0 && !durable()) group_.assign(group_.size(), false);
-    // Updates the group learns from i reach every online member now.
-    for (std::size_t u = 0; u < group_.size(); ++u) {
-      if (known_[i][u] && !group_[u]) {
-        group_[u] = true;
-        for (std::size_t j = 0; j < known_.size(); ++j)
-          if (online_[j]) record(j, u, t);
-      } else if (!known_[i][u] && group_[u]) {
-        record(i, u, t);
-      }
+    DOSN_ASSERT(!online(i));
+    if (online_count_ == 0 && !durable()) std::ranges::fill(group_, 0);
+    std::uint64_t* known = row(i);
+    for (std::size_t w = 0; w < words_; ++w) {
+      // Updates the group learns from i reach every online member now.
+      for_each_bit(known[w] & ~group_[w], w, [&](std::size_t u) {
+        record_online(u, t, record);
+      });
+      for_each_bit(group_[w] & ~known[w], w,
+                   [&](std::size_t u) { record(i, u, t); });
+      group_[w] |= known[w];
+      known[w] = group_[w];
     }
-    online_[i] = true;
+    online_[i] = 1;
     ++online_count_;
-    known_[i] = group_;
     sync_relay();
   }
 
   void leave(std::size_t i) {
-    DOSN_ASSERT(online_[i]);
-    known_[i] = group_;
-    online_[i] = false;
+    DOSN_ASSERT(online(i));
+    std::ranges::copy(group_, row(i));
+    online_[i] = 0;
     --online_count_;
   }
 
@@ -96,14 +128,15 @@ class GroupState {
   template <typename Record>
   void inject(std::size_t i, std::size_t u, SimTime t, Record&& record) {
     record(i, u, t);
-    known_[i][u] = true;
-    if (online_[i]) {
-      if (!group_[u]) {
-        group_[u] = true;
-        for (std::size_t j = 0; j < known_.size(); ++j)
-          if (online_[j] && j != i) record(j, u, t);
+    const std::size_t w = u / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (u % 64);
+    row(i)[w] |= bit;
+    if (online(i)) {
+      if ((group_[w] & bit) == 0) {
+        group_[w] |= bit;
+        record_online(u, t, record, i);
       }
-      known_[i] = group_;
+      std::ranges::copy(group_, row(i));
       sync_relay();
     }
   }
@@ -122,12 +155,11 @@ class GroupState {
   void relay_up(SimTime t, Record&& record) {
     relay_up_ = true;
     if (online_count_ > 0) {
-      for (std::size_t u = 0; u < group_.size(); ++u) {
-        if (relay_[u] && !group_[u]) {
-          group_[u] = true;
-          for (std::size_t j = 0; j < known_.size(); ++j)
-            if (online_[j]) record(j, u, t);
-        }
+      for (std::size_t w = 0; w < words_; ++w) {
+        for_each_bit(relay_[w] & ~group_[w], w, [&](std::size_t u) {
+          record_online(u, t, record);
+        });
+        group_[w] |= relay_[w];
       }
       relay_ = group_;
     } else {
@@ -138,6 +170,23 @@ class GroupState {
   std::size_t online_count() const { return online_count_; }
 
  private:
+  std::uint64_t* row(std::size_t i) { return known_.data() + i * words_; }
+
+  /// Calls f(u) for every set bit of `bits`, word w, in ascending order.
+  template <typename F>
+  static void for_each_bit(std::uint64_t bits, std::size_t w, F&& f) {
+    for (; bits != 0; bits &= bits - 1)
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+
+  /// Records update u at every online node except `skip`.
+  template <typename Record>
+  void record_online(std::size_t u, SimTime t, Record& record,
+                     std::size_t skip = static_cast<std::size_t>(-1)) {
+    for (std::size_t j = 0; j < online_.size(); ++j)
+      if (online_[j] != 0 && j != skip) record(j, u, t);
+  }
+
   /// Shared state survives an empty group only while the persistent store
   /// is reachable.
   bool durable() const { return persistent_ && relay_up_; }
@@ -148,10 +197,11 @@ class GroupState {
 
   bool persistent_;
   bool relay_up_ = true;
-  std::vector<std::vector<bool>> known_;
-  std::vector<bool> group_;
-  std::vector<bool> relay_;  // the persistent store's content (UnconRep)
-  std::vector<bool> online_;
+  std::size_t words_;
+  std::vector<std::uint64_t> known_;  // node-major rows of words_ words
+  std::vector<std::uint64_t> group_;
+  std::vector<std::uint64_t> relay_;  // the persistent store's content
+  std::vector<std::uint8_t> online_;
   std::size_t online_count_ = 0;
 };
 
@@ -182,16 +232,26 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
     DOSN_REQUIRE(o.node < nodes.size(), "replica sim: bad failure node");
   FaultInjector injector(plan);
 
-  std::vector<RawEvent> raw;
+  // The events are built as sorted runs and merged into firing order. Each
+  // node's sessions are disjoint, non-empty and ascending, so its
+  // online/offline alternation is already sorted (a session ending at the
+  // instant the next begins orders its offline first, by kind).
+  std::vector<Event> events;
+  std::vector<std::size_t> bounds{0};
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (const auto& iv :
          injector.sessions(i, nodes[i], config.horizon_days)) {
-      raw.push_back({iv.start, EventKind::kOnline, i, 0});
-      raw.push_back({iv.end, EventKind::kOffline, i, 0});
+      events.push_back({iv.start, EventKind::kOnline, i, 0});
+      events.push_back({iv.end, EventKind::kOffline, i, 0});
     }
+    bounds.push_back(events.size());
   }
   for (std::size_t u = 0; u < updates.size(); ++u)
-    raw.push_back({updates[u].time, EventKind::kUpdate, updates[u].origin, u});
+    events.push_back(
+        {updates[u].time, EventKind::kUpdate, updates[u].origin, u});
+  std::sort(events.begin() + static_cast<std::ptrdiff_t>(bounds.back()),
+            events.end(), fires_before);
+  bounds.push_back(events.size());
 
   // Relay outage windows only exist under UnconRep (ConRep has no relay).
   // Overlapping windows are canonicalized so down/up events alternate.
@@ -204,16 +264,12 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
       if (start < end) windows.add(start, end);
     }
     for (const auto& w : windows.pieces()) {
-      raw.push_back({w.start, EventKind::kRelayDown, 0, 0});
-      raw.push_back({w.end, EventKind::kRelayUp, 0, 0});
+      events.push_back({w.start, EventKind::kRelayDown, 0, 0});
+      events.push_back({w.end, EventKind::kRelayUp, 0, 0});
     }
+    bounds.push_back(events.size());
   }
-  std::sort(raw.begin(), raw.end(), [](const RawEvent& a, const RawEvent& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    if (a.node != b.node) return a.node < b.node;
-    return a.update < b.update;
-  });
+  merge_runs(events, bounds);
 
   ReplicaSimReport report;
   report.deliveries.resize(updates.size());
@@ -229,28 +285,29 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
     if (!slot) slot = t;
   };
 
-  EventQueue queue;
+  // One sweep in firing order: no handler schedules another event, so the
+  // sorted list is the whole simulation.
   SimTime last_transition = 0;
   SimTime any_online_time = 0;
-  for (const auto& ev : raw) {
-    queue.schedule(ev.time, [&, ev] {
-      const bool was_any = state.online_count() > 0;
-      if (was_any) any_online_time += ev.time - last_transition;
-      last_transition = ev.time;
-      switch (ev.kind) {
-        case EventKind::kRelayDown: state.relay_down(); break;
-        case EventKind::kRelayUp: state.relay_up(ev.time, record); break;
-        case EventKind::kOffline: state.leave(ev.node); break;
-        case EventKind::kOnline: state.join(ev.node, ev.time, record); break;
-        case EventKind::kUpdate:
-          state.inject(ev.node, ev.update, ev.time, record);
-          break;
-      }
-    });
+  for (const Event& ev : events) {
+    DOSN_CHECK(ev.time >= last_transition,
+               "replica sim: time ran backwards (event at ", ev.time,
+               ", now = ", last_transition, ")");
+    if (state.online_count() > 0)
+      any_online_time += ev.time - last_transition;
+    last_transition = ev.time;
+    switch (ev.kind) {
+      case EventKind::kRelayDown: state.relay_down(); break;
+      case EventKind::kRelayUp: state.relay_up(ev.time, record); break;
+      case EventKind::kOffline: state.leave(ev.node); break;
+      case EventKind::kOnline: state.join(ev.node, ev.time, record); break;
+      case EventKind::kUpdate:
+        state.inject(ev.node, ev.update, ev.time, record);
+        break;
+    }
   }
-  queue.run_all();
   if (state.online_count() > 0) any_online_time += horizon - last_transition;
-  report.events = queue.processed();
+  report.events = events.size();
   report.empirical_availability =
       static_cast<double>(any_online_time) / static_cast<double>(horizon);
 
@@ -274,6 +331,7 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
 
   SimMetrics& m = sim_metrics();
   m.runs.add(1);
+  m.events.add(report.events);
   m.updates.add(updates.size());
   m.deliveries.add(delivered);
   m.group_size.record(static_cast<std::int64_t>(nodes.size()));

@@ -86,8 +86,9 @@ struct ReplicaSimReport {
 };
 
 /// Simulates `nodes` (index 0 is conventionally the owner) for the given
-/// horizon, injecting `updates`, and reports realized delays. Updates must
-/// be sorted by time and lie within the horizon.
+/// horizon, injecting `updates`, and reports realized delays. Updates may
+/// come in any order (deliveries[u] reports updates[u]); each must lie
+/// within the horizon.
 ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
                                         std::span<const UpdateSpec> updates,
                                         const ReplicaSimConfig& config);

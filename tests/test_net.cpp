@@ -2,6 +2,8 @@
 // including cross-validation against the analytic delay metric.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "metrics/delay.hpp"
 #include "net/event_queue.hpp"
 #include "net/replica_sim.hpp"
@@ -171,6 +173,38 @@ TEST(ReplicaSim, RejectsBadInputs) {
   EXPECT_THROW(simulate_replica_group(nodes, bad_origin, cfg), ConfigError);
   std::vector<UpdateSpec> bad_time{{5 * interval::kDaySeconds, 0}};
   EXPECT_THROW(simulate_replica_group(nodes, bad_time, cfg), ConfigError);
+}
+
+TEST(ReplicaSim, UnsortedUpdatesMatchSorted) {
+  // The simulator orders events itself: a shuffled update list yields the
+  // sorted list's deliveries, permuted the same way.
+  std::vector<DaySchedule> nodes{window(8, 12), window(10, 16),
+                                 window(20, 23), window(0, 2)};
+  util::Rng rng(31);
+  std::vector<UpdateSpec> sorted = updates_within_schedules(nodes, 40, 4, rng);
+  std::vector<std::size_t> perm(sorted.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  rng.shuffle(perm);
+  std::vector<UpdateSpec> shuffled;
+  shuffled.reserve(perm.size());
+  for (const std::size_t k : perm) shuffled.push_back(sorted[k]);
+
+  ReplicaSimConfig cfg;
+  cfg.horizon_days = 4;
+  const auto a = simulate_replica_group(nodes, sorted, cfg);
+  const auto b = simulate_replica_group(nodes, shuffled, cfg);
+  ASSERT_EQ(b.deliveries.size(), perm.size());
+  for (std::size_t k = 0; k < perm.size(); ++k) {
+    EXPECT_EQ(b.deliveries[k].creation, a.deliveries[perm[k]].creation);
+    EXPECT_EQ(b.deliveries[k].origin, a.deliveries[perm[k]].origin);
+    EXPECT_EQ(b.deliveries[k].arrival, a.deliveries[perm[k]].arrival) << k;
+  }
+  EXPECT_EQ(a.max_delay, b.max_delay);
+  // Same delays summed in another order: equal up to rounding.
+  EXPECT_DOUBLE_EQ(a.mean_delay, b.mean_delay);
+  EXPECT_EQ(a.all_delivered, b.all_delivered);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.empirical_availability, b.empirical_availability);
 }
 
 TEST(ReplicaSim, UpdatesWithinSchedulesRespectsOnlineTime) {

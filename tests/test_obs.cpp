@@ -545,14 +545,14 @@ TEST(ObsNet, ReplicaSimCountersGrow) {
   net::ReplicaSimConfig cfg;
 
   Counter& runs = Registry::global().counter("net.replica_sim.runs");
-  Counter& events = Registry::global().counter("net.event_queue.events");
+  Counter& events = Registry::global().counter("net.replica_sim.events");
   const std::uint64_t runs_before = runs.value();
   const std::uint64_t events_before = events.value();
 
   const auto report = net::simulate_replica_group(nodes, updates, cfg);
   EXPECT_GT(report.events, 0u);
   EXPECT_EQ(runs.value(), runs_before + 1);
-  EXPECT_GE(events.value(), events_before + report.events);
+  EXPECT_EQ(events.value() - events_before, report.events);
 }
 
 // ------------------------------------- the central guarantee: no feedback
