@@ -5,6 +5,7 @@
 
 #include "core/profile.hpp"
 #include "interval/day_schedule.hpp"
+#include "interval/delay_graph.hpp"
 #include "net/dht.hpp"
 #include "net/gossip.hpp"
 #include "metrics/delay.hpp"
@@ -18,6 +19,7 @@ namespace {
 using dosn::interval::DaySchedule;
 using dosn::interval::IntervalSet;
 using dosn::interval::kDaySeconds;
+using dosn::interval::RendezvousMode;
 using dosn::interval::Seconds;
 
 DaySchedule random_schedule(dosn::util::Rng& rng, int pieces) {
@@ -55,6 +57,24 @@ void BM_WorstCaseWait(benchmark::State& state) {
     benchmark::DoNotOptimize(dosn::interval::worst_case_wait(a, b));
 }
 BENCHMARK(BM_WorstCaseWait)->Arg(4)->Arg(16)->Arg(64);
+
+// The delay graph's edge kernel: one allocation-free sweep per pair
+// (kDirect: largest circular gap of the rendezvous; kRelay: worst wait).
+void BM_PairDelay(benchmark::State& state, RendezvousMode mode) {
+  dosn::util::Rng rng(3);
+  const auto a = random_schedule(rng, static_cast<int>(state.range(0)));
+  const auto b = random_schedule(rng, static_cast<int>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dosn::interval::pair_delay(a, b, mode));
+}
+BENCHMARK_CAPTURE(BM_PairDelay, direct, RendezvousMode::kDirect)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64);
+BENCHMARK_CAPTURE(BM_PairDelay, relay, RendezvousMode::kRelay)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64);
 
 // MaxAv greedy set cover: full-rescan reference vs the CELF lazy greedy
 // (identical selections; the second argument toggles the implementation).

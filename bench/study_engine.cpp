@@ -6,8 +6,8 @@
 // so every run must produce the same curves):
 //   * seed      — the pre-change engine, reproduced locally below: serial
 //                 cohort loop, full-rescan eager MaxAv, and a full
-//                 re-evaluation (evaluate_user) of every replication
-//                 prefix 0..k;
+//                 re-evaluation (seed_evaluate_user, with the original
+//                 batch delay graph) of every replication prefix 0..k;
 //   * eager     — the current engine (incremental prefix evaluation) with
 //                 eager MaxAv, serial;
 //   * lazy      — the current engine with CELF lazy-greedy MaxAv, serial;
@@ -29,6 +29,7 @@
 #include "common.hpp"
 #include "graph/degree_stats.hpp"
 #include "obs/export.hpp"
+#include "pair_delay_oracle.hpp"
 #include "sim/study.hpp"
 #include "synth/presets.hpp"
 #include "util/thread_pool.hpp"
@@ -67,13 +68,53 @@ std::uint64_t checksum(const SweepResult& sweep) {
   return h;
 }
 
+/// sim::evaluate_user as it was before the optimizations: the same metric
+/// kernels, with the delay graph rebuilt by the batch Floyd–Warshall over
+/// the original allocating pair_delay (tests/pair_delay_oracle.cpp). The
+/// library's evaluate_user now shares the incremental delay evaluator and
+/// the sweep kernels, which would make this anchor faster with every
+/// delay-layer speedup.
+dosn::sim::UserMetrics seed_evaluate_user(
+    const dosn::trace::Dataset& dataset,
+    std::span<const dosn::interval::DaySchedule> schedules,
+    dosn::graph::UserId u, std::span<const dosn::graph::UserId> holders,
+    dosn::placement::Connectivity connectivity) {
+  using dosn::interval::DaySchedule;
+  const DaySchedule& owner = schedules[u];
+  std::vector<DaySchedule> replicas;
+  replicas.reserve(holders.size());
+  for (const dosn::graph::UserId host : holders)
+    replicas.push_back(schedules[host]);
+  std::vector<DaySchedule> contacts;
+  for (const dosn::graph::UserId f : dataset.graph.contacts(u))
+    contacts.push_back(schedules[f]);
+
+  dosn::sim::UserMetrics m;
+  const DaySchedule profile = dosn::metrics::profile_schedule(owner, replicas);
+  m.availability = profile.coverage();
+  m.max_availability =
+      dosn::metrics::max_achievable_availability(owner, contacts);
+  m.aod_time = dosn::metrics::aod_time(contacts, profile);
+  const auto aod =
+      dosn::metrics::aod_activity(dataset.trace, u, profile, schedules);
+  m.aod_activity = aod.overall;
+  m.aod_activity_expected = aod.expected;
+  m.aod_activity_unexpected = aod.unexpected;
+  const auto delay = dosn::metrics::oracle::update_propagation_delay(
+      owner, replicas, connectivity);
+  m.delay_actual_h = delay.actual_hours();
+  m.delay_observed_h = delay.observed_hours();
+  m.replicas_used = static_cast<double>(holders.size());
+  return m;
+}
+
 /// The engine as it was before the optimizations, reproduced here so the
 /// baseline stays honest now that sim::Study always uses the incremental
 /// path: one serial pass over the cohort, and every replication prefix
-/// evaluated from scratch with evaluate_user (per-prefix profile unions,
-/// per-prefix Floyd–Warshall with all pair_delay edges recomputed). The
-/// deterministic policies make its curves bit-identical to the new
-/// engine's, which the checksum comparison asserts.
+/// evaluated from scratch with seed_evaluate_user (per-prefix profile
+/// unions, per-prefix Floyd–Warshall with all pair_delay edges
+/// recomputed). The deterministic policies make its curves bit-identical
+/// to the new engine's, which the checksum comparison asserts.
 SweepResult seed_engine_replication_sweep(
     const dosn::trace::Dataset& dataset, std::uint64_t seed,
     dosn::placement::Connectivity connectivity,
@@ -116,8 +157,8 @@ SweepResult seed_engine_replication_sweep(
         const std::size_t take = std::min(k, selected.size());
         const std::span<const dosn::graph::UserId> prefix{selected.data(),
                                                           take};
-        const auto m = dosn::sim::evaluate_user(dataset, schedules, u,
-                                                prefix, connectivity);
+        const auto m =
+            seed_evaluate_user(dataset, schedules, u, prefix, connectivity);
         accum[k].availability.add(m.availability);
         accum[k].aod_time.add(m.aod_time);
         accum[k].aod_activity.add(m.aod_activity);

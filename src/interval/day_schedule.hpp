@@ -95,6 +95,11 @@ class DaySchedule {
   IntervalSet set_;
 };
 
+/// DaySchedule::online_within_window over a canonical within-day piece
+/// list, e.g. a span into a flat buffer of several schedules' pieces.
+Seconds online_within_window(std::span<const Interval> pieces, Seconds t,
+                             Seconds length);
+
 /// Result of a worst-case wait analysis: the maximal wait and a time-of-day
 /// achieving it.
 struct WorstWait {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
+#include "util/check.hpp"
 #include "util/error.hpp"
 
 namespace dosn::interval {
@@ -11,22 +11,81 @@ namespace {
 
 constexpr Seconds kInf = std::numeric_limits<Seconds>::max() / 4;
 
+using Pieces = std::span<const Interval>;
+
+// kDirect edge: the largest circular gap of the rendezvous R = S ∩ T (see
+// the header). R's pieces come out of a two-pointer intersect sweep in
+// order and are never stored: each new piece closes the gap after the
+// previous one, and the last piece's gap wraps to tomorrow's first start.
+// nullopt when R is empty.
+std::optional<Seconds> direct_delay(Pieces s, Pieces t) {
+  Seconds first = -1, prev_end = 0, worst = 0;
+  std::size_t i = 0, j = 0;
+  while (i < s.size() && j < t.size()) {
+    const Seconds lo = std::max(s[i].start, t[j].start);
+    const Seconds hi = std::min(s[i].end, t[j].end);
+    if (lo < hi) {
+      if (first < 0)
+        first = lo;
+      else
+        worst = std::max(worst, lo - prev_end);
+      prev_end = hi;
+    }
+    if (s[i].end <= t[j].end)
+      ++i;
+    else
+      ++j;
+  }
+  if (first < 0) return std::nullopt;
+  worst = std::max(worst, first + kDaySeconds - prev_end);
+  DOSN_ASSERT(worst >= 0 && worst < kDaySeconds);
+  return worst;
+}
+
+// kRelay edge: worst_case_wait(S, T), walking its two candidate families
+// (source starts, and target ends in the closure of S) with forward
+// pointers in O(|S| + |T|). Both spans are non-empty.
+Seconds relay_delay(Pieces s, Pieces t) {
+  Seconds worst = 0;
+  // A source start waits 0 inside T (next - start <= 0 then), otherwise
+  // until the next T start, wrapping to tomorrow's first.
+  std::size_t k = 0;
+  for (const Interval& piece : s) {
+    while (k < t.size() && t[k].end <= piece.start) ++k;
+    const Seconds next =
+        k < t.size() ? t[k].start : t.front().start + kDaySeconds;
+    worst = std::max(worst, next - piece.start);
+  }
+  // A target end e in the closure of S waits the circular gap after its
+  // piece. e = kDaySeconds is time-of-day 0, in the closure iff S starts at
+  // 0 or ends at kDaySeconds; otherwise e is in the closure iff the first S
+  // piece ending at or after e starts at or before it.
+  std::size_t j = 0;
+  for (k = 0; k < t.size(); ++k) {
+    const Seconds e = t[k].end;
+    bool in_closure = s.front().start == 0 || s.back().end == kDaySeconds;
+    if (e < kDaySeconds) {
+      while (j < s.size() && s[j].end < e) ++j;
+      in_closure = j < s.size() && s[j].start <= e;
+    }
+    if (!in_closure) continue;
+    const Seconds next =
+        k + 1 < t.size() ? t[k + 1].start : t.front().start + kDaySeconds;
+    worst = std::max(worst, next - e);
+  }
+  DOSN_ASSERT(worst >= 0 && worst < kDaySeconds);
+  return worst;
+}
+
 }  // namespace
 
 std::optional<Seconds> pair_delay(const DaySchedule& source,
                                   const DaySchedule& target,
                                   RendezvousMode mode) {
   if (source.empty() || target.empty()) return std::nullopt;
-  if (mode == RendezvousMode::kDirect) {
-    const DaySchedule rendezvous = source.intersect(target);
-    if (rendezvous.empty()) return std::nullopt;
-    const auto worst = worst_case_wait(source, rendezvous);
-    DOSN_ASSERT(worst.has_value());
-    return worst->wait;
-  }
-  const auto worst = worst_case_wait(source, target);
-  DOSN_ASSERT(worst.has_value());
-  return worst->wait;
+  const Pieces s = source.set().pieces(), t = target.set().pieces();
+  if (mode == RendezvousMode::kDirect) return direct_delay(s, t);
+  return relay_delay(s, t);
 }
 
 void IncrementalGroupDelay::push(const DaySchedule& node) {
@@ -34,13 +93,23 @@ void IncrementalGroupDelay::push(const DaySchedule& node) {
   if (node.empty()) return;
 
   const std::size_t m = participants_.size();
+  const Pieces v = node.set().pieces();
   // One-hop edges between the existing participants and the new node, both
-  // directions (the delay graph is directed).
+  // directions (the delay graph is directed; kDirect edges are symmetric,
+  // so one evaluation serves both).
   edge_to_.assign(m, kInf);
   edge_from_.assign(m, kInf);
   for (std::size_t p = 0; p < m; ++p) {
-    if (auto w = pair_delay(participants_[p], node, mode_)) edge_to_[p] = *w;
-    if (auto w = pair_delay(node, participants_[p], mode_)) edge_from_[p] = *w;
+    const Pieces u{pieces_.data() + participants_[p].begin,
+                   pieces_.data() + participants_[p].end};
+    if (mode_ == RendezvousMode::kDirect) {
+      if (auto w = direct_delay(u, v)) edge_to_[p] = edge_from_[p] = *w;
+      edge_evaluations_ += 1;
+    } else {
+      edge_to_[p] = relay_delay(u, v);
+      edge_from_[p] = relay_delay(v, u);
+      edge_evaluations_ += 2;
+    }
   }
 
   // Shortest i -> new and new -> j. A shortest path touches the new node
@@ -65,41 +134,55 @@ void IncrementalGroupDelay::push(const DaySchedule& node) {
     dist_from_[j] = best;
   }
 
-  // Relax old pairs through the new node and rebuild the matrix at the
-  // larger stride.
-  next_.assign((m + 1) * (m + 1), kInf);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < m; ++j) {
-      Seconds d = at(i, j);
+  // Relax old pairs through the new node and restride the matrix in place.
+  // Entry (i, j) moves from i*m + j to i*(m+1) + j, never to a lower index,
+  // so walking the old entries from the back never overwrites one not yet
+  // read.
+  dist_.resize((m + 1) * (m + 1));
+  for (std::size_t i = m; i-- > 0;)
+    for (std::size_t j = m; j-- > 0;) {
+      Seconds d = dist_[i * m + j];
       if (dist_to_[i] != kInf && dist_from_[j] != kInf)
         d = std::min(d, dist_to_[i] + dist_from_[j]);
-      next_[i * (m + 1) + j] = d;
+      dist_[i * (m + 1) + j] = d;
     }
   for (std::size_t i = 0; i < m; ++i) {
-    next_[i * (m + 1) + m] = dist_to_[i];
-    next_[m * (m + 1) + i] = dist_from_[i];
+    dist_[i * (m + 1) + m] = dist_to_[i];
+    dist_[m * (m + 1) + i] = dist_from_[i];
   }
-  next_[m * (m + 1) + m] = 0;
+  dist_[m * (m + 1) + m] = 0;
 
-  dist_.swap(next_);
-  participants_.push_back(node);
-  index_.push_back(slot);
+  const std::size_t begin = pieces_.size();
+  pieces_.insert(pieces_.end(), v.begin(), v.end());
+  participants_.push_back({slot, begin, pieces_.size()});
 }
 
 void IncrementalGroupDelay::reset(RendezvousMode mode) {
   mode_ = mode;
   pushed_ = 0;
+  edge_evaluations_ = 0;
   participants_.clear();
-  index_.clear();
+  pieces_.clear();
   dist_.clear();
+}
+
+std::span<const Interval> IncrementalGroupDelay::pieces(
+    std::size_t slot) const {
+  const auto it = std::lower_bound(
+      participants_.begin(), participants_.end(), slot,
+      [](const Participant& p, std::size_t s) { return p.slot < s; });
+  DOSN_CHECK(it != participants_.end() && it->slot == slot,
+             "IncrementalGroupDelay::pieces: slot ", slot,
+             " is not a participant");
+  return {pieces_.data() + it->begin, pieces_.data() + it->end};
 }
 
 GroupDelayResult IncrementalGroupDelay::result() const {
   GroupDelayResult result;
-  result.participants = index_.size();
-  if (index_.size() < 2) return result;
+  result.participants = participants_.size();
+  if (participants_.size() < 2) return result;
 
-  const std::size_t n = index_.size();
+  const std::size_t n = participants_.size();
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
@@ -109,7 +192,7 @@ GroupDelayResult IncrementalGroupDelay::result() const {
       }
       if (at(i, j) > result.diameter) {
         result.diameter = at(i, j);
-        result.worst_target = index_[j];
+        result.worst_target = participants_[j].slot;
       }
     }
   return result;
@@ -117,51 +200,9 @@ GroupDelayResult IncrementalGroupDelay::result() const {
 
 GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
                              RendezvousMode mode) {
-  // Participants: nodes that are ever online.
-  std::vector<std::size_t> index;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    if (!nodes[i].empty()) index.push_back(i);
-
-  GroupDelayResult result;
-  result.participants = index.size();
-  if (index.size() < 2) return result;
-
-  const std::size_t n = index.size();
-  std::vector<Seconds> dist(n * n, kInf);
-  auto at = [&](std::size_t i, std::size_t j) -> Seconds& {
-    return dist[i * n + j];
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    at(i, i) = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (auto w = pair_delay(nodes[index[i]], nodes[index[j]], mode))
-        at(i, j) = *w;
-    }
-  }
-
-  for (std::size_t k = 0; k < n; ++k)
-    for (std::size_t i = 0; i < n; ++i) {
-      if (at(i, k) == kInf) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (at(k, j) == kInf) continue;
-        at(i, j) = std::min(at(i, j), at(i, k) + at(k, j));
-      }
-    }
-
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (at(i, j) == kInf) {
-        result.fully_connected = false;
-        continue;
-      }
-      if (at(i, j) > result.diameter) {
-        result.diameter = at(i, j);
-        result.worst_target = index[j];
-      }
-    }
-  return result;
+  IncrementalGroupDelay group(mode);
+  for (const DaySchedule& node : nodes) group.push(node);
+  return group.result();
 }
 
 }  // namespace dosn::interval

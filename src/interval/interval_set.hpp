@@ -50,6 +50,11 @@ class IntervalSet {
   void add(Seconds start, Seconds end);
   void add(const Interval& iv) { add(iv.start, iv.end); }
 
+  /// Empties the set, keeping the piece buffer's capacity.
+  void clear() { intervals_.clear(); }
+  /// Grows the piece buffer's capacity to at least `pieces`.
+  void reserve(std::size_t pieces) { intervals_.reserve(pieces); }
+
   bool empty() const { return intervals_.empty(); }
   std::size_t piece_count() const { return intervals_.size(); }
   std::span<const Interval> pieces() const { return intervals_; }

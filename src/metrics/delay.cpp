@@ -1,10 +1,8 @@
 #include "metrics/delay.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "interval/delay_graph.hpp"
-#include "util/error.hpp"
 
 namespace dosn::metrics {
 namespace {
@@ -13,6 +11,22 @@ interval::RendezvousMode mode_of(Connectivity connectivity) {
   return connectivity == Connectivity::kConRep
              ? interval::RendezvousMode::kDirect
              : interval::RendezvousMode::kRelay;
+}
+
+// worst_observed_delay over the reader's pieces (a DaySchedule's, or a
+// participant's span in IncrementalGroupDelay's flat buffer).
+Seconds worst_observed(std::span<const interval::Interval> reader,
+                       Seconds actual) {
+  if (actual <= 0 || reader.empty()) return 0;
+  // The window of length `actual` ends at the delivery instant, which is an
+  // instant the reader is online. Sliding the window end across one of the
+  // reader's online intervals, the covered online time is maximal at the
+  // interval's right edge, so interval ends are sufficient candidates.
+  Seconds worst = 0;
+  for (const auto& iv : reader)
+    worst = std::max(worst, interval::online_within_window(
+                                reader, iv.end - actual, actual));
+  return worst;
 }
 
 }  // namespace
@@ -24,35 +38,22 @@ std::optional<Seconds> edge_delay(const DaySchedule& source,
 }
 
 Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual) {
-  if (actual <= 0 || reader.empty()) return 0;
-  // The window of length `actual` ends at the delivery instant, which is an
-  // instant the reader is online. Sliding the window end across one of the
-  // reader's online intervals, the covered online time is maximal at the
-  // interval's right edge, so interval ends are sufficient candidates.
-  Seconds worst = 0;
-  for (const auto& iv : reader.set().pieces())
-    worst = std::max(worst,
-                     reader.online_within_window(iv.end - actual, actual));
-  return worst;
+  return worst_observed(reader.set().pieces(), actual);
 }
 
 DelayPrefixEvaluator::DelayPrefixEvaluator(const DaySchedule& owner,
                                            Connectivity connectivity)
     : group_(mode_of(connectivity)) {
-  nodes_.push_back(owner);
-  group_.push(owner);
+  push(owner);
 }
 
 void DelayPrefixEvaluator::push(const DaySchedule& replica) {
-  nodes_.push_back(replica);
   group_.push(replica);
 }
 
 void DelayPrefixEvaluator::reset(const DaySchedule& owner,
                                  Connectivity connectivity) {
-  nodes_.clear();
   group_.reset(mode_of(connectivity));
-  nodes_.push_back(owner);
   group_.push(owner);
 }
 
@@ -63,30 +64,20 @@ DelayResult DelayPrefixEvaluator::result() const {
   result.nodes = group.participants;
   result.fully_connected = group.fully_connected;
   result.actual = group.diameter;
-  if (group.participants >= 2)
+  // A zero diameter leaves worst_target at its default slot, which may be
+  // an empty node; the observed delay is zero then anyway.
+  if (group.participants >= 2 && group.diameter > 0)
     result.observed =
-        worst_observed_delay(nodes_[group.worst_target], group.diameter);
+        worst_observed(group_.pieces(group.worst_target), group.diameter);
   return result;
 }
 
 DelayResult update_propagation_delay(const DaySchedule& owner,
                                      std::span<const DaySchedule> replicas,
                                      Connectivity connectivity) {
-  std::vector<DaySchedule> nodes;
-  nodes.reserve(replicas.size() + 1);
-  nodes.push_back(owner);
-  nodes.insert(nodes.end(), replicas.begin(), replicas.end());
-
-  const auto group = interval::group_delay(nodes, mode_of(connectivity));
-
-  DelayResult result;
-  result.nodes = group.participants;
-  result.fully_connected = group.fully_connected;
-  result.actual = group.diameter;
-  if (group.participants >= 2)
-    result.observed =
-        worst_observed_delay(nodes[group.worst_target], group.diameter);
-  return result;
+  DelayPrefixEvaluator delay(owner, connectivity);
+  for (const DaySchedule& replica : replicas) delay.push(replica);
+  return delay.result();
 }
 
 }  // namespace dosn::metrics

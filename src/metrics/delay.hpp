@@ -4,11 +4,15 @@
 // graph": vertices are the owner plus the replica holders; under ConRep an
 // edge joins two vertices whose daily schedules overlap and its weight is
 // the worst case, over update times t in the source's online time, of the
-// wait until the next instant both are online (for single daily intervals
-// this is the paper's `24h − overlap`). Updates travel along multi-hop
-// shortest paths; the user's Update Propagation Delay is the weight of the
-// longest of the all-pairs shortest paths (the graph's weighted diameter),
-// i.e. the worst-case time for an update to reach every replica.
+// wait until the next instant both are online. That worst case is the
+// largest circular gap of the rendezvous S ∩ T, so the edge is symmetric:
+// every rendezvous piece end lies in the source's closure (S ∩ T ⊆ S), so
+// each gap is attained, and a source start inside a gap waits at most that
+// gap. For single daily intervals it is the paper's `24h − overlap`.
+// Updates travel along multi-hop shortest paths; the user's Update
+// Propagation Delay is the weight of the longest of the all-pairs shortest
+// paths (the graph's weighted diameter), i.e. the worst-case time for an
+// update to reach every replica.
 //
 // Under UnconRep replicas exchange updates through third-party storage, so
 // every ordered pair (i, j) has a direct edge weighing the worst case, over
@@ -23,7 +27,6 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "interval/day_schedule.hpp"
 #include "interval/delay_graph.hpp"
@@ -63,7 +66,8 @@ std::optional<Seconds> edge_delay(const DaySchedule& source,
 /// Update propagation delay for one user's replica configuration. Replicas
 /// with empty schedules can never exchange updates and are excluded (they
 /// also cannot be selected by ConRep placement). With fewer than two
-/// participating vertices the delay is zero.
+/// participating vertices the delay is zero. Computed as a
+/// DelayPrefixEvaluator over all the replicas.
 DelayResult update_propagation_delay(const DaySchedule& owner,
                                      std::span<const DaySchedule> replicas,
                                      Connectivity connectivity);
@@ -74,10 +78,13 @@ DelayResult update_propagation_delay(const DaySchedule& owner,
 Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual);
 
 /// update_propagation_delay over growing replica prefixes. After pushing
-/// replicas r_0..r_{i-1}, result() is identical (bit for bit) to
-/// update_propagation_delay(owner, {r_0..r_{i-1}}, connectivity), but the
-/// whole prefix sequence costs one pair_delay per ordered node pair instead
-/// of one per pair per prefix.
+/// replicas r_0..r_{i-1}, result() is the batch definition over the owner
+/// and r_0..r_{i-1}: the all-pairs diameter and worst_observed_delay at
+/// its target (tests/pair_delay_oracle.cpp keeps that batch form as the
+/// differential anchor). The whole prefix sequence costs one edge kernel
+/// per node pair (unordered under ConRep, ordered under UnconRep) instead
+/// of one per pair per prefix. Once warmed, reset() and push() do not
+/// allocate.
 class DelayPrefixEvaluator {
  public:
   DelayPrefixEvaluator(const DaySchedule& owner, Connectivity connectivity);
@@ -92,8 +99,13 @@ class DelayPrefixEvaluator {
   /// Delay metrics for the owner plus every replica pushed so far.
   DelayResult result() const;
 
+  /// Edge kernel evaluations since the last reset (see
+  /// IncrementalGroupDelay::edge_evaluations).
+  std::uint64_t edge_evaluations() const { return group_.edge_evaluations(); }
+
  private:
-  std::vector<DaySchedule> nodes_;  ///< owner first, then pushed replicas
+  /// Owner at slot 0, then the pushed replicas; the observed delay reads
+  /// the worst target's pieces from its flat buffer.
   interval::IncrementalGroupDelay group_;
 };
 

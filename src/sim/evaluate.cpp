@@ -24,6 +24,11 @@ struct EvalMetrics {
       obs::Registry::global().counter("sim.prefix_points");
   obs::Counter& activities_classified =
       obs::Registry::global().counter("sim.activities_classified");
+  /// Delay-graph edge kernels evaluated by prefix sweeps (one per
+  /// unordered participant pair under ConRep, per ordered pair under
+  /// UnconRep).
+  obs::Counter& delay_edges =
+      obs::Registry::global().counter("sim.delay_edges");
 };
 
 EvalMetrics& eval_metrics() {
@@ -115,18 +120,33 @@ void evaluate_user_prefixes(const trace::Dataset& dataset,
   const DaySchedule& owner = schedules[u];
   const std::size_t take_max = std::min(k_max, selected.size());
 
+  // Every union below fits in `bound` pieces. unite_with swaps its result
+  // in, so the demand, the profile and the scratch trade buffers; reserving
+  // all three keeps a call that has already seen this bound allocation-free
+  // whichever buffer lands where.
+  std::size_t bound = owner.set().piece_count();
+  for (graph::UserId f : dataset.graph.contacts(u))
+    bound += schedules[f].set().piece_count();
+  for (std::size_t i = 0; i < take_max; ++i) {
+    DOSN_ASSERT(selected[i] < schedules.size());
+    bound += schedules[selected[i]].set().piece_count();
+  }
+  scratch.demand.reserve(bound);
+  scratch.profile.reserve(bound);
+  scratch.unite_scratch.reserve(bound);
+
   // Prefix-independent pieces, computed once. The unions are built with
   // unite_with into warmed scratch buffers; the canonical interval
   // representation is unique, so the measures (and every double derived
   // from them) match the allocating unite() path bit for bit.
-  scratch.demand = interval::IntervalSet{};
+  scratch.demand.clear();
   for (graph::UserId f : dataset.graph.contacts(u))
     scratch.demand.unite_with(schedules[f].set(), &scratch.unite_scratch);
   const interval::Seconds demand_s = scratch.demand.measure();
-  scratch.max_profile = scratch.demand;
-  scratch.max_profile.unite_with(owner.set(), &scratch.unite_scratch);
+  // |demand ∪ owner| = |demand| + |owner \ demand|, exactly.
   const double max_availability =
-      static_cast<double>(scratch.max_profile.measure()) /
+      static_cast<double>(demand_s +
+                          owner.set().subtract_measure(scratch.demand)) /
       static_cast<double>(interval::kDaySeconds);
 
   // Each received activity is served at prefix k iff the profile union of
@@ -220,6 +240,7 @@ void evaluate_user_prefixes(const trace::Dataset& dataset,
   em.prefix_sweeps.add(1);
   em.prefix_points.add(k_max + 1);
   em.activities_classified.add(activities);
+  em.delay_edges.add(scratch.delay.edge_evaluations());
 }
 
 }  // namespace dosn::sim

@@ -56,7 +56,6 @@ std::vector<UserMetrics> evaluate_user_prefixes(
 struct EvalScratch {
   interval::IntervalSet profile;      ///< growing replica-prefix union
   interval::IntervalSet demand;       ///< union of the contacts' schedules
-  interval::IntervalSet max_profile;  ///< demand ∪ owner (F2F bound)
   std::vector<interval::Interval> unite_scratch;
   std::vector<std::size_t> expected_at;
   std::vector<std::size_t> unexpected_at;

@@ -1,0 +1,108 @@
+#include "pair_delay_oracle.hpp"
+
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "util/error.hpp"
+
+namespace dosn::interval::oracle {
+namespace {
+
+constexpr Seconds kInf = std::numeric_limits<Seconds>::max() / 4;
+
+}  // namespace
+
+std::optional<Seconds> pair_delay(const DaySchedule& source,
+                                  const DaySchedule& target,
+                                  RendezvousMode mode) {
+  if (source.empty() || target.empty()) return std::nullopt;
+  if (mode == RendezvousMode::kDirect) {
+    const DaySchedule rendezvous = source.intersect(target);
+    if (rendezvous.empty()) return std::nullopt;
+    const auto worst = worst_case_wait(source, rendezvous);
+    DOSN_ASSERT(worst.has_value());
+    return worst->wait;
+  }
+  const auto worst = worst_case_wait(source, target);
+  DOSN_ASSERT(worst.has_value());
+  return worst->wait;
+}
+
+GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
+                             RendezvousMode mode) {
+  // Participants: nodes that are ever online.
+  std::vector<std::size_t> index;
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    if (!nodes[i].empty()) index.push_back(i);
+
+  GroupDelayResult result;
+  result.participants = index.size();
+  if (index.size() < 2) return result;
+
+  const std::size_t n = index.size();
+  std::vector<Seconds> dist(n * n, kInf);
+  auto at = [&](std::size_t i, std::size_t j) -> Seconds& {
+    return dist[i * n + j];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    at(i, i) = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      if (auto w = oracle::pair_delay(nodes[index[i]], nodes[index[j]], mode))
+        at(i, j) = *w;
+    }
+  }
+
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t i = 0; i < n; ++i) {
+      if (at(i, k) == kInf) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (at(k, j) == kInf) continue;
+        at(i, j) = std::min(at(i, j), at(i, k) + at(k, j));
+      }
+    }
+
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      if (at(i, j) == kInf) {
+        result.fully_connected = false;
+        continue;
+      }
+      if (at(i, j) > result.diameter) {
+        result.diameter = at(i, j);
+        result.worst_target = index[j];
+      }
+    }
+  return result;
+}
+
+}  // namespace dosn::interval::oracle
+
+namespace dosn::metrics::oracle {
+
+DelayResult update_propagation_delay(const DaySchedule& owner,
+                                     std::span<const DaySchedule> replicas,
+                                     Connectivity connectivity) {
+  std::vector<DaySchedule> nodes;
+  nodes.reserve(replicas.size() + 1);
+  nodes.push_back(owner);
+  nodes.insert(nodes.end(), replicas.begin(), replicas.end());
+
+  const auto group = interval::oracle::group_delay(
+      nodes, connectivity == Connectivity::kConRep
+                 ? interval::RendezvousMode::kDirect
+                 : interval::RendezvousMode::kRelay);
+
+  DelayResult result;
+  result.nodes = group.participants;
+  result.fully_connected = group.fully_connected;
+  result.actual = group.diameter;
+  if (group.participants >= 2)
+    result.observed =
+        worst_observed_delay(nodes[group.worst_target], group.diameter);
+  return result;
+}
+
+}  // namespace dosn::metrics::oracle

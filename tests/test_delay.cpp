@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "metrics/delay.hpp"
+#include "pair_delay_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -206,7 +207,7 @@ TEST(IncrementalGroupDelay, MatchesBatchGroupDelayOnRandomSequences) {
     for (Seconds i = 0; i < n; ++i) {
       nodes.push_back(random_schedule(rng));
       inc.push(nodes.back());
-      const auto ref = interval::group_delay(nodes, mode);
+      const auto ref = interval::oracle::group_delay(nodes, mode);
       const auto got = inc.result();
       EXPECT_EQ(got.diameter, ref.diameter);
       EXPECT_EQ(got.worst_target, ref.worst_target);
@@ -228,6 +229,31 @@ TEST(IncrementalGroupDelay, EmptyAndSingleNodeResults) {
   EXPECT_TRUE(one.fully_connected);
 }
 
+TEST(IncrementalGroupDelay, OneKernelPerUnorderedPairUnderConRep) {
+  // n participants with empty schedules interleaved: kDirect edges are
+  // symmetric, so each unordered pair costs one kernel evaluation; kRelay
+  // evaluates both directions. Empty nodes cost nothing.
+  for (const auto mode : {interval::RendezvousMode::kDirect,
+                          interval::RendezvousMode::kRelay}) {
+    interval::IncrementalGroupDelay inc(mode);
+    std::uint64_t n = 0;
+    for (int i = 0; i < 9; ++i) {
+      if (i % 3 == 1) {
+        inc.push(DaySchedule{});
+      } else {
+        inc.push(window(i, i + 4));
+        ++n;
+      }
+      const std::uint64_t pairs = n * (n - 1);
+      EXPECT_EQ(inc.edge_evaluations(),
+                mode == interval::RendezvousMode::kDirect ? pairs / 2 : pairs)
+          << "n=" << n;
+    }
+    inc.reset(mode);
+    EXPECT_EQ(inc.edge_evaluations(), 0u);
+  }
+}
+
 TEST(DelayPrefixEvaluator, MatchesBatchEvaluationAtEveryPrefix) {
   util::Rng rng(0x9e3f);
   for (const auto connectivity :
@@ -239,7 +265,7 @@ TEST(DelayPrefixEvaluator, MatchesBatchEvaluationAtEveryPrefix) {
       const auto n = rng.range(0, 7);
       for (Seconds i = 0; i <= n; ++i) {
         const auto ref =
-            update_propagation_delay(owner, replicas, connectivity);
+            oracle::update_propagation_delay(owner, replicas, connectivity);
         const auto got = inc.result();
         EXPECT_EQ(got.actual, ref.actual);
         EXPECT_EQ(got.observed, ref.observed);
@@ -251,6 +277,50 @@ TEST(DelayPrefixEvaluator, MatchesBatchEvaluationAtEveryPrefix) {
       }
     }
   }
+}
+
+TEST(DelayPrefixEvaluator, ResetToShorterGroupsMatchesBatch) {
+  // One evaluator reused across owners, as a shard loop does: each reset()
+  // follows a group of a different size and connectivity, so a shorter
+  // group must not read the longer group's stale nodes.
+  util::Rng rng(0x5e7a);
+  DelayPrefixEvaluator inc(DaySchedule{}, Connectivity::kConRep);
+  for (const std::size_t n : {6u, 2u, 7u, 0u, 3u, 1u, 5u}) {
+    const auto connectivity =
+        n % 2 == 0 ? Connectivity::kConRep : Connectivity::kUnconRep;
+    const auto owner = random_schedule(rng);
+    inc.reset(owner, connectivity);
+    std::vector<DaySchedule> replicas;
+    for (std::size_t i = 0; i < n; ++i) {
+      replicas.push_back(random_schedule(rng));
+      inc.push(replicas.back());
+    }
+    const auto ref =
+        oracle::update_propagation_delay(owner, replicas, connectivity);
+    const auto got = inc.result();
+    EXPECT_EQ(got.actual, ref.actual) << "n=" << n;
+    EXPECT_EQ(got.observed, ref.observed) << "n=" << n;
+    EXPECT_EQ(got.fully_connected, ref.fully_connected) << "n=" << n;
+    EXPECT_EQ(got.nodes, ref.nodes) << "n=" << n;
+  }
+}
+
+TEST(DelayPrefixEvaluator, ObservedDelayReadsTheWorstTargetsPieces) {
+  // Empty nodes keep their slots, so the worst target's slot differs from
+  // its participant index; the observed delay must use that node's pieces.
+  const auto owner = window(0, 4);
+  DelayPrefixEvaluator inc(owner, Connectivity::kConRep);
+  const std::vector<DaySchedule> replicas{DaySchedule{}, DaySchedule{},
+                                          window(5, 8), window(2, 6)};
+  for (const auto& r : replicas) inc.push(r);
+  const auto ref =
+      oracle::update_propagation_delay(owner, replicas, Connectivity::kConRep);
+  const auto got = inc.result();
+  EXPECT_EQ(got.nodes, 3u);
+  EXPECT_EQ(got.actual, 45 * kH);  // owner -> 2-6 -> 5-8: 22h + 23h
+  EXPECT_EQ(got.observed, 6 * kH);  // the 5-8 reader: 3h + 3h
+  EXPECT_EQ(got.actual, ref.actual);
+  EXPECT_EQ(got.observed, ref.observed);
 }
 
 }  // namespace

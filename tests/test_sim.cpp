@@ -76,6 +76,27 @@ TEST(EvaluateUser, ValidatesScheduleCount) {
                ConfigError);
 }
 
+TEST(EvaluateUserPrefixes, FlushesDelayEdgeEvaluations) {
+  // Owner, replica 1 and replica 2 participate; replica 3 is never online.
+  // Three participants: 3 unordered pairs under ConRep, 6 ordered pairs
+  // under UnconRep.
+  const auto d = tiny_dataset();
+  const std::vector<DaySchedule> schedules{window(8, 10), window(9, 13),
+                                           window(12, 16), DaySchedule{}};
+  const std::vector<graph::UserId> selected{1, 3, 2};
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& edges = obs::Registry::global().counter("sim.delay_edges");
+  for (const auto& [connectivity, expected] :
+       {std::pair{Connectivity::kConRep, 3u},
+        std::pair{Connectivity::kUnconRep, 6u}}) {
+    const std::uint64_t before = edges.value();
+    (void)evaluate_user_prefixes(d, schedules, 0, selected, connectivity, 3);
+    EXPECT_EQ(edges.value() - before, expected);
+  }
+  obs::set_enabled(was_enabled);
+}
+
 TEST(MetricEnum, NamesAndExtraction) {
   CohortMetrics m;
   m.availability = 0.5;
