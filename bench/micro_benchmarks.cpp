@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // interval algebra, worst-case wait analysis, greedy placement, the delay
-// metric, and the event-driven replica simulator.
+// metric, per-user evaluation tables, and the event-driven replica
+// simulator.
 #include <benchmark/benchmark.h>
 
 #include "core/profile.hpp"
@@ -11,6 +12,7 @@
 #include "metrics/delay.hpp"
 #include "net/replica_sim.hpp"
 #include "placement/max_av.hpp"
+#include "sim/evaluate.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -75,6 +77,88 @@ BENCHMARK_CAPTURE(BM_PairDelay, relay, RendezvousMode::kRelay)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64);
+
+// The study engine's per-user step: a star of `degree` contacts (4 pieces
+// each, 60 received activities) and the sweep's eleven runs of ten picks.
+struct UserTableFixture {
+  dosn::trace::Dataset dataset;
+  std::vector<DaySchedule> schedules;
+  std::vector<dosn::graph::UserId> holders;  // eleven runs back to back
+  std::vector<std::size_t> ends;
+
+  explicit UserTableFixture(std::size_t degree) {
+    dosn::util::Rng rng(5);
+    dosn::graph::SocialGraphBuilder b(dosn::graph::GraphKind::kUndirected,
+                                      degree + 1);
+    std::vector<dosn::graph::UserId> contacts;
+    for (std::size_t f = 1; f <= degree; ++f) {
+      b.add_edge(0, static_cast<dosn::graph::UserId>(f));
+      contacts.push_back(static_cast<dosn::graph::UserId>(f));
+    }
+    dataset.graph = std::move(b).build();
+    std::vector<dosn::trace::Activity> activities;
+    for (int i = 0; i < 60; ++i)
+      activities.push_back(
+          {static_cast<dosn::graph::UserId>(rng.below(degree + 1)), 0,
+           rng.range(0, 14 * kDaySeconds)});
+    dataset.trace = dosn::trace::ActivityTrace(degree + 1, std::move(activities));
+    for (std::size_t u = 0; u <= degree; ++u)
+      schedules.push_back(random_schedule(rng, 4));
+    for (int r = 0; r < 11; ++r) {
+      rng.shuffle(contacts);
+      holders.insert(holders.end(), contacts.begin(),
+                     contacts.begin() + std::min<std::ptrdiff_t>(
+                                            10, static_cast<std::ptrdiff_t>(
+                                                    contacts.size())));
+      ends.push_back(holders.size());
+    }
+  }
+};
+
+void BM_UserTableBuild(benchmark::State& state,
+                       dosn::placement::Connectivity connectivity) {
+  const UserTableFixture f(static_cast<std::size_t>(state.range(0)));
+  dosn::sim::UserTable table;
+  for (auto _ : state) {
+    table.build(f.dataset, f.schedules, 0, f.holders, connectivity);
+    benchmark::DoNotOptimize(table.holder_positions().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_UserTableBuild, conrep,
+                  dosn::placement::Connectivity::kConRep)
+    ->Arg(7)
+    ->Arg(64)
+    ->Arg(130);
+
+// Build plus every run's rows 0..10: the whole per-user evaluation, memo
+// fills included (each iteration starts from a fresh memo).
+void BM_UserTablePrefixes(benchmark::State& state,
+                          dosn::placement::Connectivity connectivity) {
+  const UserTableFixture f(static_cast<std::size_t>(state.range(0)));
+  dosn::sim::UserTable table;
+  std::vector<dosn::sim::UserMetrics> rows(11);
+  for (auto _ : state) {
+    table.build(f.dataset, f.schedules, 0, f.holders, connectivity);
+    const auto picks = table.holder_positions();
+    for (std::size_t r = 0, from = 0; r < f.ends.size(); ++r) {
+      table.evaluate(picks.subspan(from, f.ends[r] - from), 0, 10, rows);
+      from = f.ends[r];
+    }
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_UserTablePrefixes, conrep,
+                  dosn::placement::Connectivity::kConRep)
+    ->Arg(7)
+    ->Arg(64)
+    ->Arg(130);
+BENCHMARK_CAPTURE(BM_UserTablePrefixes, unconrep,
+                  dosn::placement::Connectivity::kUnconRep)
+    ->Arg(7)
+    ->Arg(64)
+    ->Arg(130);
 
 // MaxAv greedy set cover: full-rescan reference vs the CELF lazy greedy
 // (identical selections; the second argument toggles the implementation).

@@ -28,6 +28,7 @@
 
 #include "common.hpp"
 #include "graph/degree_stats.hpp"
+#include "metrics/availability.hpp"
 #include "obs/export.hpp"
 #include "pair_delay_oracle.hpp"
 #include "sim/study.hpp"

@@ -88,6 +88,42 @@ std::optional<Seconds> pair_delay(const DaySchedule& source,
   return relay_delay(s, t);
 }
 
+void PairDelayMemo::reset(RendezvousMode mode, std::size_t nodes) {
+  mode_ = mode;
+  edge_evaluations_ = 0;
+  nodes_.assign(nodes, Pieces{});
+  edges_.assign(nodes * nodes, -1);
+}
+
+void PairDelayMemo::set_node(std::size_t key, Pieces pieces) {
+  DOSN_ASSERT(key < nodes_.size());
+  nodes_[key] = pieces;
+}
+
+std::optional<Seconds> PairDelayMemo::edge(std::size_t from, std::size_t to) {
+  const std::size_t n = nodes_.size();
+  DOSN_ASSERT(from < n && to < n);
+  Seconds& forward = edges_[from * n + to];
+  if (forward < 0) {
+    Seconds& backward = edges_[to * n + from];
+    const Pieces s = nodes_[from], t = nodes_[to];
+    if (mode_ == RendezvousMode::kDirect) {
+      forward = backward = direct_delay(s, t).value_or(kInf);
+      edge_evaluations_ += 1;
+    } else {
+      DOSN_ASSERT(!s.empty() && !t.empty());
+      forward = relay_delay(s, t);
+      if (from != to) {
+        backward = relay_delay(t, s);
+        edge_evaluations_ += 1;
+      }
+      edge_evaluations_ += 1;
+    }
+  }
+  if (forward == kInf) return std::nullopt;
+  return forward;
+}
+
 void IncrementalGroupDelay::push(const DaySchedule& node) {
   const std::size_t slot = pushed_++;
   if (node.empty()) return;
@@ -111,7 +147,29 @@ void IncrementalGroupDelay::push(const DaySchedule& node) {
       edge_evaluations_ += 2;
     }
   }
+  append(slot, 0, v);
+}
 
+void IncrementalGroupDelay::push(std::size_t key, PairDelayMemo& memo) {
+  DOSN_ASSERT(memo.mode() == mode_);
+  const std::size_t slot = pushed_++;
+  const Pieces v = memo.node(key);
+  if (v.empty()) return;
+
+  const std::size_t m = participants_.size();
+  edge_to_.assign(m, kInf);
+  edge_from_.assign(m, kInf);
+  for (std::size_t p = 0; p < m; ++p) {
+    const std::size_t other = participants_[p].key;
+    edge_to_[p] = memo.edge(other, key).value_or(kInf);
+    edge_from_[p] = memo.edge(key, other).value_or(kInf);
+  }
+  append(slot, key, v);
+}
+
+void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
+                                   Pieces v) {
+  const std::size_t m = participants_.size();
   // Shortest i -> new and new -> j. A shortest path touches the new node
   // only at its endpoint (weights are nonnegative), so it decomposes into
   // an old-graph shortest path plus one new edge.
@@ -154,7 +212,7 @@ void IncrementalGroupDelay::push(const DaySchedule& node) {
 
   const std::size_t begin = pieces_.size();
   pieces_.insert(pieces_.end(), v.begin(), v.end());
-  participants_.push_back({slot, begin, pieces_.size()});
+  participants_.push_back({slot, key, begin, pieces_.size()});
 }
 
 void IncrementalGroupDelay::reset(RendezvousMode mode) {

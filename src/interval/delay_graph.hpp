@@ -7,7 +7,8 @@
 // (kDirect / the paper's ConRep) or through an always-online relay
 // (kRelay / UnconRep). The group delay is the weighted diameter of the
 // all-pairs shortest paths. metrics::update_propagation_delay wraps this;
-// delay-aware placement policies consume it directly.
+// delay-aware placement policies consume it directly, and the study
+// engine's per-user tables read their edges from a PairDelayMemo.
 //
 // Closed form of the kDirect edge: the largest circular gap of the
 // rendezvous R = S ∩ T (for each R piece, the next R start, wrapping to
@@ -57,6 +58,47 @@ struct GroupDelayResult {
 GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
                              RendezvousMode mode);
 
+/// One-hop delays among a fixed set of nodes, each evaluated on first use.
+///
+/// The study engine evaluates every placement run of one user (the
+/// policies and their repetitions, each a different order over the same
+/// owner and contacts) against one memo keyed by contact position, so an
+/// edge kernel runs at most once per node pair per user however many runs
+/// push that pair. Under kDirect the edge is symmetric and one kernel fills
+/// both directions; under kRelay the first use of either direction runs
+/// the two kernels of the pair. Entries never requested are never
+/// evaluated, so a user never runs more kernels than per-run evaluation
+/// would.
+class PairDelayMemo {
+ public:
+  /// Empties the memo and sizes it for `nodes` nodes (keys 0..nodes-1,
+  /// each empty until set_node) with every edge unevaluated, keeping
+  /// buffer capacity.
+  void reset(RendezvousMode mode, std::size_t nodes);
+
+  /// Points key `key` at `pieces`, which must stay alive while the memo is
+  /// used. Must precede every edge() touching the key.
+  void set_node(std::size_t key, std::span<const Interval> pieces);
+
+  RendezvousMode mode() const { return mode_; }
+  std::span<const Interval> node(std::size_t key) const { return nodes_[key]; }
+
+  /// pair_delay(node(from), node(to)); nullopt when the pair can never
+  /// exchange state. Both nodes must be non-empty under kRelay.
+  std::optional<Seconds> edge(std::size_t from, std::size_t to);
+
+  /// Edge kernels evaluated since the last reset(): one per requested pair
+  /// of distinct keys under kDirect, two under kRelay (one for a key paired
+  /// with itself) — at most n(n-1)/2 resp. n(n-1) for n distinct nodes.
+  std::uint64_t edge_evaluations() const { return edge_evaluations_; }
+
+ private:
+  RendezvousMode mode_ = RendezvousMode::kDirect;
+  std::uint64_t edge_evaluations_ = 0;
+  std::vector<std::span<const Interval>> nodes_;
+  std::vector<Seconds> edges_;  // row-major from × to; negative: unevaluated
+};
+
 /// Incrementally maintained group_delay over a growing node sequence.
 ///
 /// After i push() calls, result() is group_delay(span of those i nodes,
@@ -72,7 +114,9 @@ GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
 /// path in the new graph either avoids v (old distance) or passes through
 /// v once. Under kDirect the edge is symmetric, so one kernel evaluation
 /// per unordered pair fills both directions; kRelay evaluates each
-/// ordered pair.
+/// ordered pair. The edges come from the schedules pushed, or, for pushes
+/// by key, from a PairDelayMemo shared by every run of one user, which
+/// takes the kernels out of the per-run work altogether.
 class IncrementalGroupDelay {
  public:
   explicit IncrementalGroupDelay(RendezvousMode mode) : mode_(mode) {}
@@ -80,6 +124,12 @@ class IncrementalGroupDelay {
   /// Appends the next node. Empty schedules are recorded (they keep their
   /// slot in the input indexing) but never participate.
   void push(const DaySchedule& node);
+
+  /// Appends node `key` of `memo`, reading its one-hop edges from the memo
+  /// instead of evaluating them (and leaving edge_evaluations() alone; the
+  /// memo counts its own kernels). A group is fed either by schedules or by
+  /// keys of one memo, never both, and the memo's mode must be the group's.
+  void push(std::size_t key, PairDelayMemo& memo);
 
   /// Returns to the empty state (as freshly constructed with `mode`) while
   /// keeping buffer capacity, so shard loops can reuse one instance across
@@ -95,17 +145,23 @@ class IncrementalGroupDelay {
   /// GroupDelayResult::worst_target counts), read from the flat buffer.
   std::span<const Interval> pieces(std::size_t slot) const;
 
-  /// Edge kernel evaluations since construction or the last reset():
-  /// n(n-1)/2 for n participants under kDirect, n(n-1) under kRelay.
+  /// Edge kernels evaluated by schedule pushes since construction or the
+  /// last reset(): n(n-1)/2 for n participants under kDirect, n(n-1) under
+  /// kRelay.
   std::uint64_t edge_evaluations() const { return edge_evaluations_; }
 
  private:
-  /// A non-empty pushed node: its slot in push order and its pieces'
-  /// range in pieces_.
+  /// A non-empty pushed node: its slot in push order, its memo key (key
+  /// pushes only) and its pieces' range in pieces_.
   struct Participant {
     std::size_t slot = 0;
+    std::size_t key = 0;
     std::size_t begin = 0, end = 0;
   };
+
+  /// Adds the new node's row and column from edge_to_ / edge_from_ (one-hop
+  /// edges with each existing participant) and records it.
+  void append(std::size_t slot, std::size_t key, std::span<const Interval> v);
 
   Seconds at(std::size_t i, std::size_t j) const {
     return dist_[i * participants_.size() + j];

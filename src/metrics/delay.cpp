@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "interval/delay_graph.hpp"
+#include "util/error.hpp"
 
 namespace dosn::metrics {
 namespace {
@@ -48,13 +49,27 @@ DelayPrefixEvaluator::DelayPrefixEvaluator(const DaySchedule& owner,
 }
 
 void DelayPrefixEvaluator::push(const DaySchedule& replica) {
+  DOSN_ASSERT(memo_ == nullptr);
   group_.push(replica);
 }
 
 void DelayPrefixEvaluator::reset(const DaySchedule& owner,
                                  Connectivity connectivity) {
+  memo_ = nullptr;
   group_.reset(mode_of(connectivity));
   group_.push(owner);
+}
+
+void DelayPrefixEvaluator::reset(interval::PairDelayMemo& memo,
+                                 std::size_t owner_key) {
+  memo_ = &memo;
+  group_.reset(memo.mode());
+  group_.push(owner_key, memo);
+}
+
+void DelayPrefixEvaluator::push(std::size_t key) {
+  DOSN_ASSERT(memo_ != nullptr);
+  group_.push(key, *memo_);
 }
 
 DelayResult DelayPrefixEvaluator::result() const {

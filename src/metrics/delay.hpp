@@ -96,6 +96,15 @@ class DelayPrefixEvaluator {
   /// keeping buffer capacity — lets one instance serve a whole user shard.
   void reset(const DaySchedule& owner, Connectivity connectivity);
 
+  /// Restarts the evaluator for one run over `memo`'s nodes, the owner at
+  /// key `owner_key`: replicas then come by key (push(std::size_t)) and
+  /// every edge is read from the memo, which must outlive the run. The
+  /// connectivity is the memo's mode.
+  void reset(interval::PairDelayMemo& memo, std::size_t owner_key);
+
+  /// Appends the replica at `key` of the memo passed to reset().
+  void push(std::size_t key);
+
   /// Delay metrics for the owner plus every replica pushed so far.
   DelayResult result() const;
 
@@ -107,6 +116,7 @@ class DelayPrefixEvaluator {
   /// Owner at slot 0, then the pushed replicas; the observed delay reads
   /// the worst target's pieces from its flat buffer.
   interval::IncrementalGroupDelay group_;
+  interval::PairDelayMemo* memo_ = nullptr;  ///< key runs only
 };
 
 }  // namespace dosn::metrics

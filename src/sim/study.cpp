@@ -53,38 +53,36 @@ util::ThreadPool& sweep_pool(const StudyOptions& options,
                                  : local.emplace(options.threads);
 }
 
-/// Cohort means of `rows` (consecutive groups of `stride` rows per user):
-/// element j averages row j of every user. The serial walk visits users
-/// in cohort index order — the fixed floating-point accumulation order
-/// that makes every sweep bit-identical across threads and shard sizes.
-std::vector<CohortMetrics> cohort_means(std::span<const UserMetrics> rows,
-                                        std::size_t stride) {
-  DOSN_ASSERT(rows.size() % stride == 0);
-  std::vector<detail::CohortAccum> accum(stride);
-  for (std::size_t off = 0; off < rows.size(); off += stride)
-    for (std::size_t j = 0; j < stride; ++j) accum[j].add(rows[off + j]);
-  std::vector<CohortMetrics> out;
-  out.reserve(stride);
-  for (const auto& a : accum) out.push_back(a.mean());
-  return out;
+/// The configured policies, instantiated in plot order.
+std::vector<std::unique_ptr<placement::ReplicaPolicy>> make_policies(
+    const StudyOptions& options) {
+  std::vector<std::unique_ptr<placement::ReplicaPolicy>> policies;
+  policies.reserve(options.policies.size());
+  for (const auto kind : options.policies)
+    policies.push_back(placement::make_policy(kind, options.policy_params));
+  return policies;
 }
 
-/// Point-wise average of `reps` repetition runs; run(r) returns one
-/// CohortMetrics per sweep point.
-template <typename Run>
-std::vector<CohortMetrics> average_reps(std::size_t reps, Run&& run) {
-  std::vector<std::vector<CohortMetrics>> runs;
-  runs.reserve(reps);
-  for (std::size_t r = 0; r < reps; ++r) runs.push_back(run(r));
-  std::vector<CohortMetrics> out;
-  for (std::size_t j = 0; j < runs.front().size(); ++j) {
-    std::vector<CohortMetrics> at_j;
-    at_j.reserve(reps);
-    for (const auto& run_rows : runs) at_j.push_back(run_rows[j]);
-    out.push_back(average_runs(at_j));
-  }
-  return out;
+/// Repetitions per policy: every policy repeats when the schedules are
+/// randomized, otherwise only the randomized policies do.
+std::vector<std::size_t> policy_reps(
+    std::span<const std::unique_ptr<placement::ReplicaPolicy>> policies,
+    bool schedules_randomized, std::size_t repetitions) {
+  std::vector<std::size_t> reps;
+  reps.reserve(policies.size());
+  for (const auto& policy : policies)
+    reps.push_back(schedules_randomized || policy->randomized() ? repetitions
+                                                                : 1);
+  return reps;
 }
+
+/// One task's reusable state in Study::evaluate_cohort: the user table and
+/// the user's selections, all runs back to back.
+struct TaskScratch {
+  UserTable table;
+  std::vector<graph::UserId> holders;
+  std::vector<std::size_t> run_end;  ///< end of run r's picks in holders
+};
 
 /// A curve per configured policy, named and tagged, with no points yet.
 std::vector<PolicyCurve> empty_curves(const StudyOptions& options) {
@@ -96,32 +94,6 @@ std::vector<PolicyCurve> empty_curves(const StudyOptions& options) {
     curves[p].policy = options.policies[p];
   }
   return curves;
-}
-
-/// The replication sweep's step: rows for every prefix 0..k_max of the
-/// selection, in one incremental pass over the shard's scratch.
-auto prefix_rows(const trace::Dataset& dataset,
-                 std::span<const DaySchedule> schedules,
-                 placement::Connectivity connectivity, std::size_t k_max) {
-  return [&dataset, schedules, connectivity, k_max](
-             graph::UserId u, std::span<const graph::UserId> selected,
-             EvalScratch& scratch, std::vector<UserMetrics>& rows) {
-    evaluate_user_prefixes(dataset, schedules, u, selected, connectivity,
-                           k_max, scratch, rows);
-  };
-}
-
-/// The fixed-k sweeps' step: the one row of the whole selection (placed
-/// with max_replicas = k), evaluated on `schedules`.
-auto fixed_k_row(const trace::Dataset& dataset,
-                 std::span<const DaySchedule> schedules,
-                 placement::Connectivity connectivity) {
-  return [&dataset, schedules, connectivity](
-             graph::UserId u, std::span<const graph::UserId> selected,
-             EvalScratch& /*scratch*/, std::vector<UserMetrics>& rows) {
-    rows.assign(1, evaluate_user(dataset, schedules, u, selected,
-                                 connectivity));
-  };
 }
 
 }  // namespace
@@ -182,54 +154,137 @@ std::vector<graph::UserId> Study::sweep_cohort(std::size_t degree,
   return users;
 }
 
-std::vector<UserMetrics> Study::evaluate_cohort(
+template <typename Stream, typename Evaluate>
+std::vector<std::vector<CohortMetrics>> Study::cell_points(
+    std::span<const std::unique_ptr<placement::ReplicaPolicy>> policies,
+    std::span<const std::size_t> reps, bool per_rep_schedules,
+    Stream&& stream, Evaluate&& evaluate) const {
+  if (policies.empty()) return {};
+  // means[p][r]: the cohort means of run (p, r), by sweep point.
+  std::vector<std::vector<std::vector<CohortMetrics>>> means(policies.size());
+  std::vector<CohortRun> runs;
+  std::vector<std::size_t> run_policy;
+  const auto evaluate_runs = [&](std::size_t r) {
+    auto out = evaluate(std::span<const CohortRun>(runs), r);
+    for (std::size_t j = 0; j < runs.size(); ++j)
+      means[run_policy[j]].push_back(std::move(out[j]));
+    runs.clear();
+    run_policy.clear();
+  };
+  const std::size_t max_reps = *std::max_element(reps.begin(), reps.end());
+  for (std::size_t r = 0; r < max_reps; ++r) {
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      if (r >= reps[p]) continue;
+      runs.push_back({policies[p].get(), stream(p, r)});
+      run_policy.push_back(p);
+    }
+    if (per_rep_schedules) evaluate_runs(r);
+  }
+  if (!per_rep_schedules) evaluate_runs(0);
+
+  // Point-wise average over each policy's repetitions, in repetition order.
+  std::vector<std::vector<CohortMetrics>> points(policies.size());
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    for (std::size_t x = 0; x < means[p].front().size(); ++x) {
+      std::vector<CohortMetrics> at_x;
+      at_x.reserve(means[p].size());
+      for (const auto& run : means[p]) at_x.push_back(run[x]);
+      points[p].push_back(average_runs(at_x));
+    }
+  }
+  return points;
+}
+
+std::vector<std::vector<CohortMetrics>> Study::evaluate_cohort(
     std::span<const DaySchedule> placement_schedules,
+    std::span<const DaySchedule> evaluation_schedules,
     std::span<const graph::UserId> cohort_users,
-    const placement::ReplicaPolicy& policy,
-    placement::Connectivity connectivity, std::size_t max_replicas,
-    std::uint64_t stream_seed, std::size_t rows_per_user,
-    const UserStep& step, std::size_t shard_size,
-    util::ThreadPool& pool) const {
+    std::span<const CohortRun> runs, placement::Connectivity connectivity,
+    std::size_t first_k, std::size_t k_max, std::size_t shard_size,
+    util::ThreadPool& pool, std::vector<UserMetrics>* samples) const {
   obs::ScopedTimer span("study.evaluate_policy");
   const std::size_t n = cohort_users.size();
-  DOSN_ASSERT(n > 0 && shard_size > 0);
-  // Shards of at most ceil(n / workers) users, so a cohort smaller than
-  // workers × shard_size still spreads over every worker.
+  DOSN_ASSERT(n > 0 && shard_size > 0 && !runs.empty() && first_k <= k_max);
+  const std::size_t run_rows = k_max - first_k + 1;
+  const std::size_t user_rows = runs.size() * run_rows;
+  // A window holds one shard of at most ceil(n / workers) users per worker,
+  // so a cohort smaller than workers × shard_size still spreads over every
+  // worker. Its tasks are quarter shards, which lets the work-stealing
+  // runtime even out heavy users before the window's barrier.
   const std::size_t workers = pool.thread_count();
   const std::size_t shard =
       std::min(shard_size, (n + workers - 1) / workers);
-  const std::size_t num_shards = (n + shard - 1) / shard;
-  study_metrics().sweep_cells.add(1);
-  study_metrics().users_evaluated.add(n);
-  study_metrics().shards_evaluated.add(num_shards);
+  const std::size_t window = shard * workers;
+  const std::size_t task = std::max<std::size_t>(1, shard / 4);
+  std::vector<TaskScratch> scratch((window + task - 1) / task);
+  std::vector<UserMetrics> rows(std::min(window, n) * user_rows);
+  std::vector<std::vector<detail::CohortAccum>> accum(
+      runs.size(), std::vector<detail::CohortAccum>(run_rows));
+  std::size_t tasks_run = 0;
 
-  // Phase 1 (parallel): one task per shard. Each task reuses one
-  // EvalScratch and one user-row buffer across its users and writes into
-  // its own slice of `rows`; each user draws from its own stream.
-  std::vector<UserMetrics> rows(n * rows_per_user);
-  util::parallel_for_each(&pool, num_shards, [&](std::size_t s) {
-    const std::size_t begin = s * shard;
-    const std::size_t end = std::min(n, begin + shard);
-    EvalScratch scratch;
-    std::vector<UserMetrics> user_rows;
+  for (std::size_t begin = 0; begin < n; begin += window) {
+    const std::size_t end = std::min(n, begin + window);
+    const std::size_t tasks = (end - begin + task - 1) / task;
+    tasks_run += tasks;
+    // Phase 1 (parallel): each task walks its users one by one. A user's
+    // runs are all selected first (each from its own stream), then one
+    // table serves every run's rows, written to the user's slice of rows.
+    util::parallel_for_each(&pool, tasks, [&](std::size_t t) {
+      TaskScratch& ts = scratch[t];
+      const std::size_t first = begin + t * task;
+      const std::size_t last = std::min(end, first + task);
+      for (std::size_t i = first; i < last; ++i) {
+        const graph::UserId u = cohort_users[i];
+        placement::PlacementContext context;
+        context.user = u;
+        context.candidates = dataset_.graph.contacts(u);
+        context.schedules = placement_schedules;
+        context.trace = &dataset_.trace;
+        context.connectivity = connectivity;
+        context.max_replicas = k_max;
+        ts.holders.clear();
+        ts.run_end.clear();
+        for (const CohortRun& run : runs) {
+          util::Rng rng(util::mix64(run.stream_seed, u));
+          const auto selected = run.policy->select(context, rng);
+          ts.holders.insert(ts.holders.end(), selected.begin(),
+                            selected.end());
+          ts.run_end.push_back(ts.holders.size());
+        }
+        ts.table.build(dataset_, evaluation_schedules, u, ts.holders,
+                       connectivity);
+        const auto picks = ts.table.holder_positions();
+        const std::span<UserMetrics> out{rows.data() + (i - begin) * user_rows,
+                                         user_rows};
+        for (std::size_t r = 0, from = 0; r < runs.size(); ++r) {
+          ts.table.evaluate(picks.subspan(from, ts.run_end[r] - from), first_k,
+                            k_max, out.subspan(r * run_rows, run_rows));
+          from = ts.run_end[r];
+        }
+      }
+      ts.table.flush_counters();
+    });
+
+    // Phase 2 (serial): reduce the window into the accumulators in cohort
+    // index order — the fixed floating-point accumulation order that makes
+    // every sweep bit-identical across threads and shard sizes.
     for (std::size_t i = begin; i < end; ++i) {
-      const graph::UserId u = cohort_users[i];
-      placement::PlacementContext context;
-      context.user = u;
-      context.candidates = dataset_.graph.contacts(u);
-      context.schedules = placement_schedules;
-      context.trace = &dataset_.trace;
-      context.connectivity = connectivity;
-      context.max_replicas = max_replicas;
-      util::Rng rng(util::mix64(stream_seed, u));
-      const auto selected = policy.select(context, rng);
-      step(u, selected, scratch, user_rows);
-      DOSN_ASSERT(user_rows.size() == rows_per_user);
-      std::copy(user_rows.begin(), user_rows.end(),
-                rows.begin() + static_cast<std::ptrdiff_t>(i * rows_per_user));
+      const UserMetrics* user = rows.data() + (i - begin) * user_rows;
+      for (std::size_t r = 0; r < runs.size(); ++r)
+        for (std::size_t j = 0; j < run_rows; ++j)
+          accum[r][j].add(user[r * run_rows + j]);
+      if (samples != nullptr)
+        samples->insert(samples->end(), user, user + user_rows);
     }
-  });
-  return rows;
+  }
+  study_metrics().sweep_cells.add(runs.size());
+  study_metrics().users_evaluated.add(n * runs.size());
+  study_metrics().shards_evaluated.add(tasks_run);
+
+  std::vector<std::vector<CohortMetrics>> means(runs.size());
+  for (std::size_t r = 0; r < runs.size(); ++r)
+    for (const auto& a : accum[r]) means[r].push_back(a.mean());
+  return means;
 }
 
 SweepResult Study::replication_sweep(onlinetime::ModelKind model_kind,
@@ -290,23 +345,21 @@ SweepResult Study::replication_sweep_over(
   std::optional<util::ThreadPool> local_pool;
   util::ThreadPool& pool = sweep_pool(options, local_pool);
   result.policies = empty_curves(options);
-  for (std::size_t p = 0; p < options.policies.size(); ++p) {
-    const auto policy =
-        placement::make_policy(options.policies[p], options.policy_params);
-    const std::size_t reps =
-        (model_randomized || policy->randomized()) ? options.repetitions : 1;
-    result.policies[p].points = average_reps(reps, [&](std::size_t r) {
-      const auto sched = realizations[model_randomized ? r : 0];
-      const std::size_t stride = options.k_max + 1;
-      return cohort_means(
-          evaluate_cohort(
-              sched, cohort_users, *policy, connectivity, options.k_max,
-              sweep_stream(seed_, kReplicationTag, 0, p, r), stride,
-              prefix_rows(dataset_, sched, connectivity, options.k_max),
-              options.shard_size, pool),
-          stride);
-    });
-  }
+  const auto policies = make_policies(options);
+  const auto reps =
+      policy_reps(policies, model_randomized, options.repetitions);
+  auto points = cell_points(
+      policies, reps, model_randomized,
+      [&](std::size_t p, std::size_t r) {
+        return sweep_stream(seed_, kReplicationTag, 0, p, r);
+      },
+      [&](std::span<const CohortRun> runs, std::size_t r) {
+        const auto sched = realizations[r];
+        return evaluate_cohort(sched, sched, cohort_users, runs, connectivity,
+                               0, options.k_max, options.shard_size, pool);
+      });
+  for (std::size_t p = 0; p < points.size(); ++p)
+    result.policies[p].points = std::move(points[p]);
   return result;
 }
 
@@ -330,25 +383,23 @@ SweepResult Study::session_length_sweep(
 
   std::optional<util::ThreadPool> local_pool;
   util::ThreadPool& pool = sweep_pool(options, local_pool);
+  const auto policies = make_policies(options);
+  const auto reps = policy_reps(policies, false, options.repetitions);
   for (std::size_t xi = 0; xi < session_lengths.size(); ++xi) {
     const onlinetime::SporadicModel model(session_lengths[xi]);
     util::Rng model_rng(util::mix64(seed_, 0x3e550000 + xi));
     const auto sched = model.schedules(dataset_, model_rng);
-
-    for (std::size_t p = 0; p < options.policies.size(); ++p) {
-      const auto policy =
-          placement::make_policy(options.policies[p], options.policy_params);
-      const std::size_t reps = policy->randomized() ? options.repetitions : 1;
-      result.policies[p].points.push_back(
-          average_reps(reps, [&](std::size_t r) {
-            return cohort_means(
-                evaluate_cohort(sched, cohort_users, *policy, connectivity, k,
-                                sweep_stream(seed_, kSessionTag, xi, p, r), 1,
-                                fixed_k_row(dataset_, sched, connectivity),
-                                options.shard_size, pool),
-                1);
-          }).front());
-    }
+    const auto points = cell_points(
+        policies, reps, false,
+        [&](std::size_t p, std::size_t r) {
+          return sweep_stream(seed_, kSessionTag, xi, p, r);
+        },
+        [&](std::span<const CohortRun> runs, std::size_t /*r*/) {
+          return evaluate_cohort(sched, sched, cohort_users, runs,
+                                 connectivity, k, k, options.shard_size, pool);
+        });
+    for (std::size_t p = 0; p < points.size(); ++p)
+      result.policies[p].points.push_back(points[p].front());
   }
   return result;
 }
@@ -394,6 +445,9 @@ SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
 
   std::optional<util::ThreadPool> local_pool;
   util::ThreadPool& pool = sweep_pool(options, local_pool);
+  const auto policies = make_policies(options);
+  const auto reps =
+      policy_reps(policies, model->randomized(), options.repetitions);
   for (const double f : intensities) {
     // Degraded schedules per repetition at this intensity, built lazily
     // and shared across policies. The fault realization seed varies with
@@ -418,27 +472,23 @@ SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
       return slot;
     };
 
-    for (std::size_t p = 0; p < options.policies.size(); ++p) {
-      const auto policy =
-          placement::make_policy(options.policies[p], options.policy_params);
-      const std::size_t reps =
-          (model->randomized() || policy->randomized()) ? options.repetitions
-                                                        : 1;
-      result.policies[p].points.push_back(
-          average_reps(reps, [&](std::size_t r) {
-            // Placement sees the ideal schedules; only the evaluation runs
-            // on the degraded ones. x = 0 in the stream id keeps randomized
-            // placements identical across intensities, preserving nesting.
-            return cohort_means(
-                evaluate_cohort(schedules[model->randomized() ? r : 0],
-                                cohort_users, *policy, connectivity, k,
-                                sweep_stream(seed_, kFaultTag, 0, p, r), 1,
-                                fixed_k_row(dataset_, degraded_for(r),
-                                            connectivity),
-                                options.shard_size, pool),
-                1);
-          }).front());
-    }
+    // Placement sees the ideal schedules; only the evaluation runs on the
+    // degraded ones, which differ per repetition. x = 0 in the stream id
+    // keeps randomized placements identical across intensities, preserving
+    // nesting.
+    const auto points = cell_points(
+        policies, reps, true,
+        [&](std::size_t p, std::size_t r) {
+          return sweep_stream(seed_, kFaultTag, 0, p, r);
+        },
+        [&](std::span<const CohortRun> runs, std::size_t r) {
+          return evaluate_cohort(schedules[model->randomized() ? r : 0],
+                                 degraded_for(r), cohort_users, runs,
+                                 connectivity, k, k, options.shard_size,
+                                 pool);
+        });
+    for (std::size_t p = 0; p < points.size(); ++p)
+      result.policies[p].points.push_back(points[p].front());
   }
   return result;
 }
@@ -458,13 +508,16 @@ std::vector<UserMetrics> Study::cohort_samples(
   const auto schedules = model->schedules(dataset_, model_rng);
   const auto policy = placement::make_policy(policy_kind,
                                              options.policy_params);
+  const CohortRun run{policy.get(),
+                      sweep_stream(seed_, kSamplesTag, 0,
+                                   static_cast<std::uint64_t>(policy_kind), 0)};
   std::optional<util::ThreadPool> local_pool;
-  return evaluate_cohort(
-      schedules, cohort_users, *policy, connectivity, k,
-      sweep_stream(seed_, kSamplesTag, 0,
-                   static_cast<std::uint64_t>(policy_kind), 0),
-      1, fixed_k_row(dataset_, schedules, connectivity), options.shard_size,
-      sweep_pool(options, local_pool));
+  std::vector<UserMetrics> samples;
+  samples.reserve(cohort_users.size());
+  (void)evaluate_cohort(schedules, schedules, cohort_users, {&run, 1},
+                        connectivity, k, k, options.shard_size,
+                        sweep_pool(options, local_pool), &samples);
+  return samples;
 }
 
 SweepResult Study::user_degree_sweep(std::size_t max_degree,
@@ -502,30 +555,29 @@ SweepResult Study::user_degree_sweep(std::size_t max_degree,
 
   std::optional<util::ThreadPool> local_pool;
   util::ThreadPool& pool = sweep_pool(options, local_pool);
+  const auto policies = make_policies(options);
+  const auto reps =
+      policy_reps(policies, model.randomized(), options.repetitions);
   for (std::size_t d = 1; d <= max_degree; ++d) {
     const auto cohort_users = sweep_cohort(d, options);
-    for (std::size_t p = 0; p < options.policies.size(); ++p) {
-      if (cohort_users.empty()) {
-        result.policies[p].points.emplace_back();  // empty cohort: zeros
-        continue;
-      }
-      const auto policy =
-          placement::make_policy(options.policies[p], options.policy_params);
-      const std::size_t reps =
-          (model.randomized() || policy->randomized()) ? options.repetitions
-                                                       : 1;
-      // k = user degree (the most replicas a user of degree d can have).
-      result.policies[p].points.push_back(
-          average_reps(reps, [&](std::size_t r) {
-            const auto& sched = schedules[model.randomized() ? r : 0];
-            return cohort_means(
-                evaluate_cohort(sched, cohort_users, *policy, connectivity, d,
-                                sweep_stream(seed_, kDegreeTag, d, p, r), 1,
-                                fixed_k_row(dataset_, sched, connectivity),
-                                options.shard_size, pool),
-                1);
-          }).front());
+    if (cohort_users.empty()) {
+      for (auto& curve : result.policies)
+        curve.points.emplace_back();  // empty cohort: zeros
+      continue;
     }
+    // k = user degree (the most replicas a user of degree d can have).
+    const auto points = cell_points(
+        policies, reps, model.randomized(),
+        [&](std::size_t p, std::size_t r) {
+          return sweep_stream(seed_, kDegreeTag, d, p, r);
+        },
+        [&](std::span<const CohortRun> runs, std::size_t r) {
+          const auto& sched = schedules[r];
+          return evaluate_cohort(sched, sched, cohort_users, runs,
+                                 connectivity, d, d, options.shard_size, pool);
+        });
+    for (std::size_t p = 0; p < points.size(); ++p)
+      result.policies[p].points.push_back(points[p].front());
   }
   return result;
 }

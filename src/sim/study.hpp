@@ -20,18 +20,20 @@
 // repeated and averaged (default 5 repetitions); deterministic experiments
 // run once. Everything derives from one seed.
 //
-// Every sweep runs through one sharded core: the cohort is cut into
-// fixed-size shards of consecutive cohort indices, one parallel task per
-// shard on a util::ThreadPool, each shard reusing one EvalScratch across
-// its users. Every (sweep cell, user) pair draws from its own RNG stream
-// derived with util::mix64, and per-user rows are reduced serially in
-// cohort index order, so for a fixed seed the output is bit-identical for
-// every thread count and shard size, including the serial threads = 1
-// reference. The core scales to million-user inputs built by
-// synth::build_scale_study_input (the precomputed-schedules overload).
+// Every sweep runs through one user-major core: the cohort is walked in
+// windows of consecutive cohort indices, split into parallel tasks on a
+// util::ThreadPool, and each user's table (sim::UserTable) serves every
+// (policy, repetition) run of a sweep cell that shares its schedules.
+// Every (run, user) pair draws from its own RNG stream derived with
+// util::mix64, and each window's rows are reduced serially into per-run
+// accumulators in cohort index order, so for a fixed seed the output is
+// bit-identical for every thread count and shard size, including the
+// serial threads = 1 reference. The core scales to million-user inputs
+// built by synth::build_scale_study_input (the precomputed-schedules
+// overload).
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -223,12 +225,12 @@ class Study {
                                 const Options& options = Options{}) const;
 
  private:
-  /// The per-user half of a sweep cell: given cohort user `u` and its
-  /// placement `selected`, writes the user's metric rows into `rows`
-  /// (replacing its contents), reusing `scratch` across the shard's users.
-  using UserStep = std::function<void(
-      graph::UserId u, std::span<const graph::UserId> selected,
-      EvalScratch& scratch, std::vector<UserMetrics>& rows)>;
+  /// One placement run of a sweep cell: a policy and the stream its users
+  /// draw from (user u draws from mix64(stream_seed, u)).
+  struct CohortRun {
+    const placement::ReplicaPolicy* policy = nullptr;
+    std::uint64_t stream_seed = 0;
+  };
 
   /// Users with degree `degree`, truncated to options.cohort_limit.
   std::vector<graph::UserId> sweep_cohort(std::size_t degree,
@@ -241,21 +243,36 @@ class Study {
       bool model_randomized, std::string_view model_name,
       placement::Connectivity connectivity, const Options& options) const;
 
-  /// The engine's one per-user placement→evaluate loop. Places replicas
-  /// (at most `max_replicas`) for every cohort user against
-  /// `placement_schedules`, user u drawing from mix64(stream_seed, u),
-  /// then runs `step`, which must emit `rows_per_user` rows. The cohort is
-  /// cut into shards of consecutive indices (one task each on `pool`).
-  /// Returns every user's rows in cohort index order: user i's rows are
-  /// [i * rows_per_user, (i + 1) * rows_per_user).
-  std::vector<UserMetrics> evaluate_cohort(
+  /// Every policy's points in one sweep cell: policy p runs reps[p]
+  /// repetitions, run (p, r) drawing from stream(p, r), and each point
+  /// averages the policy's runs. evaluate(runs, r) evaluates a run list
+  /// whose schedules are repetition r's. With `per_rep_schedules` each
+  /// repetition's runs get their own call; otherwise every run shares
+  /// repetition 0's schedules and one call takes them all.
+  template <typename Stream, typename Evaluate>
+  std::vector<std::vector<CohortMetrics>> cell_points(
+      std::span<const std::unique_ptr<placement::ReplicaPolicy>> policies,
+      std::span<const std::size_t> reps, bool per_rep_schedules,
+      Stream&& stream, Evaluate&& evaluate) const;
+
+  /// The engine's one per-user loop. The cohort is walked user by user in
+  /// windows of shard × workers consecutive users, each window split into
+  /// tasks on `pool`. For each user every run's selection is placed
+  /// against `placement_schedules` (at most k_max replicas), then one
+  /// UserTable over `evaluation_schedules` evaluates rows first_k..k_max
+  /// of every run. After each window its rows are reduced in cohort order
+  /// into per-run accumulators, so memory stays bounded by the window.
+  /// Returns each run's cohort means for k = first_k..k_max; `samples`,
+  /// when set, receives every row, by user in cohort order, then by run,
+  /// then by k.
+  std::vector<std::vector<CohortMetrics>> evaluate_cohort(
       std::span<const DaySchedule> placement_schedules,
+      std::span<const DaySchedule> evaluation_schedules,
       std::span<const graph::UserId> cohort_users,
-      const placement::ReplicaPolicy& policy,
-      placement::Connectivity connectivity, std::size_t max_replicas,
-      std::uint64_t stream_seed, std::size_t rows_per_user,
-      const UserStep& step, std::size_t shard_size,
-      util::ThreadPool& pool) const;
+      std::span<const CohortRun> runs, placement::Connectivity connectivity,
+      std::size_t first_k, std::size_t k_max, std::size_t shard_size,
+      util::ThreadPool& pool,
+      std::vector<UserMetrics>* samples = nullptr) const;
 
   const trace::Dataset& dataset_;
   std::uint64_t seed_;

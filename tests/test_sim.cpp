@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <tuple>
 
+#include "eval_oracle.hpp"
 #include "graph/degree_stats.hpp"
 #include "obs/obs.hpp"
 #include "sim/study.hpp"
@@ -97,6 +99,69 @@ TEST(EvaluateUserPrefixes, FlushesDelayEdgeEvaluations) {
   obs::set_enabled(was_enabled);
 }
 
+/// Enables obs for one test and restores the previous state.
+class ObsOn {
+ public:
+  ObsOn() : was_(obs::enabled()) { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was_); }
+  ObsOn(const ObsOn&) = delete;
+  ObsOn& operator=(const ObsOn&) = delete;
+
+ private:
+  bool was_;
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+// One table serves every run of a user, and its pair-delay memo evaluates
+// each pair's kernel once: four runs over owner 0 and contacts 1, 2 (3 is
+// never online) fill the three pairs once under ConRep, both directions
+// of each under UnconRep. A pair no run pushes is never evaluated.
+TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
+  const auto d = tiny_dataset();
+  const std::vector<DaySchedule> schedules{window(8, 10), window(9, 13),
+                                           window(12, 16), DaySchedule{}};
+  const ObsOn obs_on;
+  for (const auto& [connectivity, all_pairs, two_pairs] :
+       {std::tuple{Connectivity::kConRep, 3u, 2u},
+        std::tuple{Connectivity::kUnconRep, 6u, 4u}}) {
+    SCOPED_TRACE(placement::to_string(connectivity));
+    const std::vector<std::vector<graph::UserId>> runs{
+        {1, 2, 3}, {2, 1}, {3, 2, 1}, {1}};
+    std::vector<graph::UserId> holders;
+    for (const auto& run : runs)
+      holders.insert(holders.end(), run.begin(), run.end());
+
+    const std::uint64_t tables = counter("sim.user_tables");
+    const std::uint64_t sweeps = counter("sim.prefix_sweeps");
+    const std::uint64_t points = counter("sim.prefix_points");
+    const std::uint64_t edges = counter("sim.delay_edges");
+    UserTable table;
+    table.build(d, schedules, 0, holders, connectivity);
+    std::vector<UserMetrics> rows(4);
+    for (std::size_t r = 0, from = 0; r < runs.size(); ++r) {
+      table.evaluate(table.holder_positions().subspan(from, runs[r].size()),
+                     0, 3, rows);
+      from += runs[r].size();
+    }
+    table.flush_counters();
+    EXPECT_EQ(counter("sim.user_tables") - tables, 1u);
+    EXPECT_EQ(counter("sim.prefix_sweeps") - sweeps, 4u);
+    EXPECT_EQ(counter("sim.prefix_points") - points, 16u);
+    EXPECT_EQ(counter("sim.delay_edges") - edges, all_pairs);
+
+    // Runs {1} and {2}: the pair (1, 2) is never pushed.
+    const std::vector<graph::UserId> singles{1, 2};
+    table.build(d, schedules, 0, singles, connectivity);
+    for (std::size_t r = 0; r < singles.size(); ++r)
+      table.evaluate(table.holder_positions().subspan(r, 1), 0, 3, rows);
+    table.flush_counters();
+    EXPECT_EQ(counter("sim.delay_edges") - edges, all_pairs + two_pairs);
+  }
+}
+
 TEST(MetricEnum, NamesAndExtraction) {
   CohortMetrics m;
   m.availability = 0.5;
@@ -169,7 +234,7 @@ TEST_F(StudySweeps, EvaluateUserPrefixesMatchesPerPrefixEvaluation) {
         const std::size_t take = std::min(k, sel.size());
         const std::span<const graph::UserId> prefix{sel.data(), take};
         const auto ref =
-            evaluate_user(*dataset_, schedules, u, prefix, connectivity);
+            oracle::evaluate_user(*dataset_, schedules, u, prefix, connectivity);
         EXPECT_EQ(rows[k].availability, ref.availability);
         EXPECT_EQ(rows[k].max_availability, ref.max_availability);
         EXPECT_EQ(rows[k].aod_time, ref.aod_time);
@@ -180,6 +245,57 @@ TEST_F(StudySweeps, EvaluateUserPrefixesMatchesPerPrefixEvaluation) {
         EXPECT_EQ(rows[k].delay_actual_h, ref.delay_actual_h);
         EXPECT_EQ(rows[k].delay_observed_h, ref.delay_observed_h);
         EXPECT_EQ(rows[k].replicas_used, ref.replicas_used);
+      }
+    }
+  }
+}
+
+// On a random dataset the memo bounds each user's kernels by its pairs:
+// with d contacts, at most d(d+1)/2 under ConRep and d(d+1) under
+// UnconRep for all eleven runs of the paper's sweep together.
+TEST_F(StudySweeps, DelayEdgesAtMostOnePerPairPerUser) {
+  const auto model = onlinetime::make_model(ModelKind::kSporadic, {});
+  util::Rng model_rng(11);
+  const auto schedules = model->schedules(*dataset_, model_rng);
+  const ObsOn obs_on;
+  util::Rng rng(12);
+  UserTable table;
+  std::vector<UserMetrics> rows(11);
+  for (const auto connectivity :
+       {Connectivity::kConRep, Connectivity::kUnconRep}) {
+    for (const std::size_t degree : {cohort_degree_, std::size_t{3}}) {
+      const auto users = graph::users_with_degree(dataset_->graph, degree);
+      const std::size_t pairs = degree * (degree + 1) / 2;
+      const std::uint64_t bound =
+          connectivity == Connectivity::kConRep ? pairs : 2 * pairs;
+      for (const graph::UserId u : users) {
+        placement::PlacementContext context;
+        context.user = u;
+        context.candidates = dataset_->graph.contacts(u);
+        context.schedules = schedules;
+        context.trace = &dataset_->trace;
+        context.connectivity = connectivity;
+        context.max_replicas = 10;
+        std::vector<graph::UserId> holders;
+        std::vector<std::size_t> ends;
+        for (const auto kind : {PolicyKind::kMaxAv, PolicyKind::kMostActive,
+                                PolicyKind::kRandom}) {
+          const auto policy = placement::make_policy(kind);
+          for (std::size_t r = 0; r < (policy->randomized() ? 5u : 1u); ++r) {
+            const auto selected = policy->select(context, rng);
+            holders.insert(holders.end(), selected.begin(), selected.end());
+            ends.push_back(holders.size());
+          }
+        }
+        const std::uint64_t before = counter("sim.delay_edges");
+        table.build(*dataset_, schedules, u, holders, connectivity);
+        for (std::size_t r = 0, from = 0; r < ends.size(); ++r) {
+          table.evaluate(table.holder_positions().subspan(from, ends[r] - from),
+                         0, 10, rows);
+          from = ends[r];
+        }
+        table.flush_counters();
+        EXPECT_LE(counter("sim.delay_edges") - before, bound) << "user " << u;
       }
     }
   }

@@ -18,11 +18,13 @@
 // both contracts at small N where the materialized path is cheap.
 #include <gtest/gtest.h>
 
+#include "eval_oracle.hpp"
 #include "graph/degree_stats.hpp"
 #include "net/fault.hpp"
 #include "onlinetime/sporadic.hpp"
 #include "sim/cohort_accum.hpp"
 #include "sim/study.hpp"
+#include "synth/generators.hpp"
 #include "synth/presets.hpp"
 #include "synth/scale.hpp"
 
@@ -92,6 +94,38 @@ sim::StudyOptions base_options() {
   return o;
 }
 
+// A population whose cohort is hubs: users 0..kHubs-1 befriend exactly
+// kHubDegree distinct non-hubs each, the non-hubs form a sparse random
+// background (no non-hub comes near kHubDegree), and the activities come
+// from the synthetic generator over that graph.
+constexpr std::size_t kHubs = 10;
+constexpr std::size_t kHubDegree = 70;
+
+trace::Dataset hub_dataset() {
+  constexpr std::size_t kUsers = 400;
+  util::Rng rng(kSeed);
+  graph::SocialGraphBuilder b(graph::GraphKind::kUndirected, kUsers);
+  std::vector<graph::UserId> others;
+  for (std::size_t u = kHubs; u < kUsers; ++u)
+    others.push_back(static_cast<graph::UserId>(u));
+  for (std::size_t h = 0; h < kHubs; ++h) {
+    rng.shuffle(others);
+    for (std::size_t i = 0; i < kHubDegree; ++i)
+      b.add_edge(static_cast<graph::UserId>(h), others[i]);
+  }
+  for (const graph::UserId u : others)
+    for (int e = 0; e < 2; ++e) {
+      const graph::UserId v = others[rng.below(others.size())];
+      if (v != u) b.add_edge(u, v);
+    }
+  trace::Dataset dataset;
+  dataset.name = "hubs";
+  dataset.graph = std::move(b).build();
+  dataset.trace =
+      synth::generate_activities(dataset.graph, synth::ActivityGenConfig{}, rng);
+  return dataset;
+}
+
 /// base_options() fitted to the dataset's most populated degree.
 sim::StudyOptions options_for(const trace::Dataset& dataset) {
   auto options = base_options();
@@ -128,8 +162,8 @@ std::vector<CohortMetrics> oracle_cell(
     for (std::size_t k = first_k; k <= max_replicas; ++k) {
       const std::span<const graph::UserId> prefix{
           selected.data(), std::min(k, selected.size())};
-      const auto row =
-          sim::evaluate_user(dataset, evaluation, u, prefix, connectivity);
+      const auto row = sim::oracle::evaluate_user(dataset, evaluation, u,
+                                                  prefix, connectivity);
       accum[k - first_k].add(row);
       if (samples != nullptr) samples->push_back(row);
     }
@@ -489,6 +523,61 @@ TEST(StudyOracle, ResilienceSweep) {
       [&](const SweepResult& sweep) {
         expect_sweeps_identical(oracle, sweep);
       });
+}
+
+// Hubs through the engine: with 70 contacts every segment needs two mask
+// words, and at shard sizes 1 and 7 the ten hubs span several windows, so
+// the multi-word kernel and the window-by-window reduction are both pinned
+// against the oracle, for both connectivities and for the resilience
+// sweep's split between placement and evaluation schedules.
+TEST(StudyOracle, HubCohort) {
+  const auto dataset = hub_dataset();
+  ASSERT_EQ(graph::users_with_degree(dataset.graph, kHubDegree).size(), kHubs);
+  auto options = base_options();
+  options.cohort_degree = kHubDegree;
+  options.k_max = 8;
+  const Study study(dataset, kSeed);
+  const auto for_each_hub_configuration = [&](auto sweep, const auto& oracle) {
+    for (const std::size_t shard_size : {1, 7}) {
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE("shard_size=" + std::to_string(shard_size) +
+                     " threads=" + std::to_string(threads));
+        auto o = options;
+        o.shard_size = shard_size;
+        o.threads = threads;
+        expect_sweeps_identical(oracle, sweep(o));
+      }
+    }
+  };
+
+  for (const auto connectivity :
+       {Connectivity::kConRep, Connectivity::kUnconRep}) {
+    SCOPED_TRACE(placement::to_string(connectivity));
+    for_each_hub_configuration(
+        [&](const sim::StudyOptions& o) {
+          return study.replication_sweep(ModelKind::kSporadic, {},
+                                         connectivity, o);
+        },
+        oracle_replication_sweep(dataset, ModelKind::kSporadic, connectivity,
+                                 options));
+  }
+
+  net::FaultPlan plan;
+  plan.seed = 0x4b0b;
+  plan.session_no_show = 0.3;
+  plan.session_truncate = 0.5;
+  plan.truncate_max_fraction = 0.7;
+  const std::vector<double> intensities{0.0, 1.0};
+  const std::size_t k = 5;
+  for_each_hub_configuration(
+      [&](const sim::StudyOptions& o) {
+        return study.resilience_sweep(ModelKind::kSporadic, {},
+                                      Connectivity::kConRep, plan,
+                                      intensities, k, o);
+      },
+      oracle_resilience_sweep(dataset, ModelKind::kSporadic,
+                              Connectivity::kConRep, plan, intensities, k,
+                              options));
 }
 
 TEST(StudyOracle, CohortSamples) {

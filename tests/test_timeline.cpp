@@ -1,6 +1,7 @@
 // Tests for the temporal split and the absolute-timeline evaluation.
 #include <gtest/gtest.h>
 
+#include "eval_oracle.hpp"
 #include "graph/degree_stats.hpp"
 #include "sim/evaluate.hpp"
 #include "onlinetime/sporadic.hpp"
@@ -150,8 +151,8 @@ TEST(Timeline, ProjectionGapOnSyntheticCohort) {
     const std::vector<graph::UserId> replicas(contacts.begin(),
                                               contacts.end());
     proj_sum +=
-        sim::evaluate_user(dataset, projected, u, replicas,
-                           placement::Connectivity::kConRep)
+        sim::oracle::evaluate_user(dataset, projected, u, replicas,
+                                   placement::Connectivity::kConRep)
             .availability;
     real_sum +=
         sim::evaluate_on_timeline(dataset, timeline, u, replicas)
