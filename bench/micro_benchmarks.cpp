@@ -196,6 +196,57 @@ void BM_MaxAvSelectLazy(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxAvSelectLazy)->Arg(10)->Arg(40)->Arg(160);
 
+// One ConRep selection per iteration through a reused PlacementScratch,
+// as the study engine's shards run them: a warmed select allocates
+// nothing, so this times the frontier and the policy loop alone. The
+// argument is the owner's degree; a third of the contacts have activity
+// on the owner's profile (MostActive's ranked head).
+void BM_ConRepSelect(benchmark::State& state,
+                     dosn::placement::PolicyKind kind) {
+  dosn::util::Rng rng(5);
+  const auto degree = static_cast<std::size_t>(state.range(0));
+  std::vector<DaySchedule> schedules;
+  schedules.push_back(random_schedule(rng, 4));  // owner
+  std::vector<dosn::graph::UserId> candidates;
+  std::vector<dosn::trace::Activity> activities;
+  for (std::size_t i = 0; i < degree; ++i) {
+    schedules.push_back(random_schedule(rng, 4));
+    const auto id = static_cast<dosn::graph::UserId>(i + 1);
+    candidates.push_back(id);
+    const std::uint64_t posts = i % 3 == 0 ? 1 + rng.below(4) : 0;
+    for (std::uint64_t a = 0; a < posts; ++a)
+      activities.push_back({id, 0, rng.range(0, kDaySeconds - 1)});
+  }
+  const dosn::trace::ActivityTrace trace(degree + 1, std::move(activities));
+  const auto policy = dosn::placement::make_policy(kind);
+  dosn::placement::PlacementContext ctx;
+  ctx.user = 0;
+  ctx.candidates = candidates;
+  ctx.schedules = schedules;
+  ctx.trace = &trace;
+  ctx.connectivity = dosn::placement::Connectivity::kConRep;
+  ctx.max_replicas = 10;
+  dosn::placement::PlacementScratch scratch;
+  for (auto _ : state) {
+    dosn::util::Rng draw(7);
+    benchmark::DoNotOptimize(policy->select(ctx, draw, scratch).data());
+  }
+}
+BENCHMARK_CAPTURE(BM_ConRepSelect, MaxAv, dosn::placement::PolicyKind::kMaxAv)
+    ->Arg(7)
+    ->Arg(64)
+    ->Arg(512);
+BENCHMARK_CAPTURE(BM_ConRepSelect, MostActive,
+                  dosn::placement::PolicyKind::kMostActive)
+    ->Arg(7)
+    ->Arg(64)
+    ->Arg(512);
+BENCHMARK_CAPTURE(BM_ConRepSelect, Random,
+                  dosn::placement::PolicyKind::kRandom)
+    ->Arg(7)
+    ->Arg(64)
+    ->Arg(512);
+
 // Fork-join overhead of the deterministic thread pool (per-index work is
 // trivial, so this measures dispatch + join cost).
 void BM_ThreadPoolForEach(benchmark::State& state) {

@@ -6,31 +6,25 @@
 
 namespace dosn::placement {
 
-std::vector<UserId> CoreGroupPolicy::select_impl(const PlacementContext& context,
-                                            util::Rng&) const {
+void CoreGroupPolicy::select_impl(const PlacementContext& context, util::Rng&,
+                                  PlacementScratch& scratch) const {
   const bool conrep = context.connectivity == Connectivity::kConRep;
   const auto mode = conrep ? interval::RendezvousMode::kDirect
                            : interval::RendezvousMode::kRelay;
   const DaySchedule& owner = context.schedule_of(context.user);
 
-  interval::IntervalSet covered = owner.set();
-  DaySchedule connectivity_union = owner;
+  interval::IntervalSet& covered = scratch.covered = owner.set();
   std::vector<DaySchedule> group{owner};
 
-  std::vector<UserId> chosen;
-  std::vector<bool> used(context.candidates.size(), false);
-
-  while (chosen.size() < context.max_replicas) {
+  scratch.start(context);
+  while (scratch.selection.size() < context.max_replicas) {
     std::ptrdiff_t best = -1;
     Seconds best_diameter = 0;
     Seconds best_gain = 0;
     for (std::size_t i = 0; i < context.candidates.size(); ++i) {
-      if (used[i]) continue;
-      const DaySchedule& cand = context.schedule_of(context.candidates[i]);
-      if (conrep &&
-          !detail::is_connected(cand, connectivity_union, !chosen.empty()))
-        continue;
-      const Seconds gain = cand.set().subtract(covered).measure();
+      if (!scratch.eligible(i)) continue;
+      const DaySchedule& cand = context.candidate_schedule(i);
+      const Seconds gain = cand.set().subtract_measure(covered);
       if (gain <= 0) continue;  // only replicas that add availability
 
       group.push_back(cand);
@@ -50,15 +44,12 @@ std::vector<UserId> CoreGroupPolicy::select_impl(const PlacementContext& context
       }
     }
     if (best < 0) break;
-    used[static_cast<std::size_t>(best)] = true;
-    const UserId f = context.candidates[static_cast<std::size_t>(best)];
-    chosen.push_back(f);
-    const DaySchedule& sched = context.schedule_of(f);
-    covered = covered.unite(sched.set());
-    connectivity_union = connectivity_union.unite(sched);
+    const std::size_t idx = static_cast<std::size_t>(best);
+    scratch.take(context, idx);
+    const DaySchedule& sched = context.candidate_schedule(idx);
+    covered.unite_with(sched.set(), &scratch.cover_buffer);
     group.push_back(sched);
   }
-  return chosen;
 }
 
 }  // namespace dosn::placement

@@ -17,8 +17,8 @@ namespace dosn::placement {
 class CoreGroupPolicy final : public ReplicaPolicy {
  public:
   std::string name() const override { return "CoreGroup"; }
-  std::vector<UserId> select_impl(const PlacementContext& context,
-                             util::Rng& rng) const override;
+  void select_impl(const PlacementContext& context, util::Rng& rng,
+                   PlacementScratch& scratch) const override;
 };
 
 }  // namespace dosn::placement

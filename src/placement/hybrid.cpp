@@ -15,12 +15,9 @@ std::string HybridPolicy::name() const {
   return util::format("Hybrid(%.2f)", alpha_);
 }
 
-std::vector<UserId> HybridPolicy::select_impl(const PlacementContext& context,
-                                         util::Rng&) const {
+void HybridPolicy::select_impl(const PlacementContext& context, util::Rng&,
+                               PlacementScratch& scratch) const {
   DOSN_REQUIRE(context.trace != nullptr, "Hybrid needs the activity trace");
-  const bool conrep = context.connectivity == Connectivity::kConRep;
-  const DaySchedule& owner = context.schedule_of(context.user);
-
   std::vector<double> activity(context.candidates.size());
   double max_activity = 0.0;
   for (std::size_t i = 0; i < context.candidates.size(); ++i) {
@@ -31,23 +28,18 @@ std::vector<UserId> HybridPolicy::select_impl(const PlacementContext& context,
   if (max_activity > 0.0)
     for (auto& a : activity) a /= max_activity;
 
-  interval::IntervalSet covered = owner.set();
-  DaySchedule connectivity_union = owner;
-  std::vector<UserId> chosen;
-  std::vector<bool> used(context.candidates.size(), false);
-
-  while (chosen.size() < context.max_replicas) {
+  interval::IntervalSet& covered = scratch.covered =
+      context.schedule_of(context.user).set();
+  scratch.start(context);
+  while (scratch.selection.size() < context.max_replicas) {
     // Collect eligible candidates with their raw coverage gains first: the
     // coverage component is normalized over the current pool.
     std::vector<std::pair<std::size_t, Seconds>> eligible;
     Seconds max_gain = 0;
     for (std::size_t i = 0; i < context.candidates.size(); ++i) {
-      if (used[i]) continue;
-      const DaySchedule& cand = context.schedule_of(context.candidates[i]);
-      if (conrep &&
-          !detail::is_connected(cand, connectivity_union, !chosen.empty()))
-        continue;
-      const Seconds gain = cand.set().subtract(covered).measure();
+      if (!scratch.eligible(i)) continue;
+      const Seconds gain =
+          context.candidate_schedule(i).set().subtract_measure(covered);
       eligible.emplace_back(i, gain);
       max_gain = std::max(max_gain, gain);
     }
@@ -68,14 +60,11 @@ std::vector<UserId> HybridPolicy::select_impl(const PlacementContext& context,
     }
     // Stop once no candidate contributes on either axis.
     if (best < 0 || best_score <= 0.0) break;
-    used[static_cast<std::size_t>(best)] = true;
-    const UserId f = context.candidates[static_cast<std::size_t>(best)];
-    chosen.push_back(f);
-    const DaySchedule& sched = context.schedule_of(f);
-    covered = covered.unite(sched.set());
-    connectivity_union = connectivity_union.unite(sched);
+    const std::size_t idx = static_cast<std::size_t>(best);
+    scratch.take(context, idx);
+    covered.unite_with(context.candidate_schedule(idx).set(),
+                       &scratch.cover_buffer);
   }
-  return chosen;
 }
 
 }  // namespace dosn::placement

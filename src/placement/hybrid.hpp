@@ -20,8 +20,8 @@ class HybridPolicy final : public ReplicaPolicy {
   explicit HybridPolicy(double alpha = 0.5);
 
   std::string name() const override;
-  std::vector<UserId> select_impl(const PlacementContext& context,
-                             util::Rng& rng) const override;
+  void select_impl(const PlacementContext& context, util::Rng& rng,
+                   PlacementScratch& scratch) const override;
 
   double alpha() const { return alpha_; }
 

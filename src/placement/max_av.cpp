@@ -1,7 +1,6 @@
 #include "placement/max_av.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "obs/obs.hpp"
 
@@ -52,50 +51,45 @@ PlacementMetrics& placement_metrics() {
 
 struct ScheduleOracle {
   const PlacementContext& context;
-  IntervalSet covered;
-  std::vector<interval::Interval> scratch;  ///< unite_with spare buffer
+  IntervalSet& covered;
+  std::vector<interval::Interval>& buffer;  ///< unite_with spare buffer
 
   std::int64_t gain(std::size_t i) const {
     // subtract_measure sweeps without materializing the difference set —
     // the by-far hottest call of a MaxAv candidate scan.
-    return context.schedule_of(context.candidates[i])
-        .set()
-        .subtract_measure(covered);
+    return context.candidate_schedule(i).set().subtract_measure(covered);
   }
   std::int64_t overlap(std::size_t i) const {
-    return context.schedule_of(context.candidates[i])
-        .set()
-        .intersection_measure(covered);
+    return context.candidate_schedule(i).set().intersection_measure(covered);
   }
   void commit(std::size_t i) {
-    covered.unite_with(context.schedule_of(context.candidates[i]).set(),
-                       &scratch);
+    covered.unite_with(context.candidate_schedule(i).set(), &buffer);
   }
 };
 
 struct ActivityOracle {
   const PlacementContext& context;
-  std::vector<Seconds> points;     // activity instants (time-of-day)
-  std::vector<bool> covered;       // parallel to points
+  std::span<const Seconds> points;        // activity instants (time-of-day)
+  std::span<std::uint8_t> covered;        // parallel to points
 
   std::int64_t gain(std::size_t i) const {
-    const DaySchedule& cand = context.schedule_of(context.candidates[i]);
+    const DaySchedule& cand = context.candidate_schedule(i);
     std::int64_t g = 0;
     for (std::size_t p = 0; p < points.size(); ++p)
       if (!covered[p] && cand.set().contains(points[p])) ++g;
     return g;
   }
   std::int64_t overlap(std::size_t i) const {
-    const DaySchedule& cand = context.schedule_of(context.candidates[i]);
+    const DaySchedule& cand = context.candidate_schedule(i);
     std::int64_t o = 0;
     for (std::size_t p = 0; p < points.size(); ++p)
       if (covered[p] && cand.set().contains(points[p])) ++o;
     return o;
   }
   void commit(std::size_t i) {
-    const DaySchedule& cand = context.schedule_of(context.candidates[i]);
+    const DaySchedule& cand = context.candidate_schedule(i);
     for (std::size_t p = 0; p < points.size(); ++p)
-      if (!covered[p] && cand.set().contains(points[p])) covered[p] = true;
+      if (!covered[p] && cand.set().contains(points[p])) covered[p] = 1;
   }
 };
 
@@ -104,28 +98,16 @@ struct ActivityOracle {
 /// and, via MaxAvPolicy's `lazy` switch, as the baseline the benchmarks and
 /// equivalence tests compare the CELF path against.
 template <typename Oracle>
-std::vector<UserId> greedy_eager(const PlacementContext& context,
-                                 Oracle& oracle,
-                                 DaySchedule connectivity_union,
-                                 bool least_overlap) {
-  const bool conrep = context.connectivity == Connectivity::kConRep;
-  const bool by_overlap = conrep && least_overlap;
-
-  std::vector<UserId> chosen;
-  std::vector<bool> used(context.candidates.size(), false);
-  std::vector<interval::Interval> union_scratch;
+void greedy_eager(const PlacementContext& context, Oracle& oracle,
+                  bool by_overlap, PlacementScratch& scratch) {
   std::uint64_t gain_evals = 0;
 
-  while (chosen.size() < context.max_replicas) {
+  while (scratch.selection.size() < context.max_replicas) {
     std::ptrdiff_t best = -1;
     std::int64_t best_gain = 0;
     std::int64_t best_overlap = 0;
     for (std::size_t i = 0; i < context.candidates.size(); ++i) {
-      if (used[i]) continue;
-      const DaySchedule& cand = context.schedule_of(context.candidates[i]);
-      if (conrep &&
-          !detail::is_connected(cand, connectivity_union, !chosen.empty()))
-        continue;
+      if (!scratch.eligible(i)) continue;
       ++gain_evals;
       const std::int64_t gain = oracle.gain(i);
       if (gain <= 0) continue;
@@ -144,33 +126,11 @@ std::vector<UserId> greedy_eager(const PlacementContext& context,
       }
     }
     if (best < 0) break;  // no candidate improves coverage (or none connected)
-    const std::size_t idx = static_cast<std::size_t>(best);
-    used[idx] = true;
-    chosen.push_back(context.candidates[idx]);
-    oracle.commit(idx);
-    connectivity_union.unite_with(context.schedule_of(context.candidates[idx]),
-                                  &union_scratch);
+    oracle.commit(static_cast<std::size_t>(best));
+    scratch.take(context, static_cast<std::size_t>(best));
   }
   placement_metrics().gain_evals.add(gain_evals);
-  return chosen;
 }
-
-/// CELF lazy-greedy entry: the cached gain is an upper bound on the true
-/// marginal gain because coverage only grows.
-struct LazyEntry {
-  std::int64_t gain = 0;
-  std::size_t index = 0;
-  std::size_t stamp = 0;  ///< |chosen| at the time `gain` was computed
-};
-
-/// Max-heap order: larger gain first; on equal gain, lower candidate index
-/// first — exactly the eager scan's "first strict maximum" tie-break.
-struct LazyEntryLess {
-  bool operator()(const LazyEntry& a, const LazyEntry& b) const {
-    if (a.gain != b.gain) return a.gain < b.gain;
-    return a.index > b.index;
-  }
-};
 
 /// CELF lazy-greedy (Leskovec et al., "Cost-effective Outbreak Detection"):
 /// pop the largest cached gain; if it was computed this round it is exact
@@ -178,43 +138,48 @@ struct LazyEntryLess {
 /// otherwise recompute, reinsert, repeat. Candidates whose recomputed gain
 /// drops to zero are discarded permanently (gains never recover), while
 /// ConRep-disconnected candidates are parked for the round and re-enter the
-/// heap afterwards (connectivity can open up as the union grows). Produces
-/// bit-identical selections to greedy_eager.
+/// heap afterwards (the frontier can connect them after the next pick).
+/// Produces bit-identical selections to greedy_eager.
 template <typename Oracle>
-std::vector<UserId> greedy_lazy(const PlacementContext& context,
-                                Oracle& oracle,
-                                DaySchedule connectivity_union) {
-  const bool conrep = context.connectivity == Connectivity::kConRep;
+void greedy_lazy(const PlacementContext& context, Oracle& oracle,
+                 PlacementScratch& scratch) {
+  // Max-heap order: larger gain, then lower index — the eager scan's "first
+  // strict maximum" tie-break. No index is in the heap twice, so the order
+  // is total and the pops do not depend on the heap's layout.
+  const auto less = [](const detail::LazyEntry& a, const detail::LazyEntry& b) {
+    return a.gain != b.gain ? a.gain < b.gain : a.index > b.index;
+  };
 
   std::uint64_t gain_evals = 0;
   std::uint64_t lazy_hits = 0;
   std::uint64_t lazy_misses = 0;
   std::uint64_t parked_count = 0;
 
-  std::priority_queue<LazyEntry, std::vector<LazyEntry>, LazyEntryLess> heap;
+  std::vector<detail::LazyEntry>& heap = scratch.heap;
+  std::vector<detail::LazyEntry>& parked = scratch.parked;
+  heap.clear();
+  heap.reserve(context.candidates.size());
+  parked.clear();
+  parked.reserve(context.candidates.size());
   for (std::size_t i = 0; i < context.candidates.size(); ++i) {
     ++gain_evals;
     const std::int64_t gain = oracle.gain(i);
-    if (gain > 0) heap.push({gain, i, 0});
+    if (gain > 0) heap.push_back({gain, i, 0});
   }
+  std::make_heap(heap.begin(), heap.end(), less);
 
-  std::vector<UserId> chosen;
-  std::vector<LazyEntry> parked;  // disconnected this round
-  std::vector<interval::Interval> union_scratch;
-  while (chosen.size() < context.max_replicas && !heap.empty()) {
+  while (scratch.selection.size() < context.max_replicas && !heap.empty()) {
     std::ptrdiff_t picked = -1;
     while (!heap.empty()) {
-      LazyEntry top = heap.top();
-      heap.pop();
-      if (conrep &&
-          !detail::is_connected(
-              context.schedule_of(context.candidates[top.index]),
-              connectivity_union, !chosen.empty())) {
+      std::pop_heap(heap.begin(), heap.end(), less);
+      detail::LazyEntry top = heap.back();
+      heap.pop_back();
+      if (!scratch.frontier.connected(top.index)) {
         parked.push_back(top);
         ++parked_count;
         continue;
       }
-      if (top.stamp == chosen.size()) {
+      if (top.stamp == scratch.selection.size()) {
         ++lazy_hits;
         picked = static_cast<std::ptrdiff_t>(top.index);
         break;
@@ -223,16 +188,17 @@ std::vector<UserId> greedy_lazy(const PlacementContext& context,
       ++gain_evals;
       top.gain = oracle.gain(top.index);
       if (top.gain <= 0) continue;
-      top.stamp = chosen.size();
-      heap.push(top);
+      top.stamp = scratch.selection.size();
+      heap.push_back(top);
+      std::push_heap(heap.begin(), heap.end(), less);
     }
     if (picked < 0) break;  // nothing connected improves coverage
-    const std::size_t idx = static_cast<std::size_t>(picked);
-    chosen.push_back(context.candidates[idx]);
-    oracle.commit(idx);
-    connectivity_union.unite_with(context.schedule_of(context.candidates[idx]),
-                                  &union_scratch);
-    for (const LazyEntry& e : parked) heap.push(e);
+    oracle.commit(static_cast<std::size_t>(picked));
+    scratch.take(context, static_cast<std::size_t>(picked));
+    for (const detail::LazyEntry& e : parked) {
+      heap.push_back(e);
+      std::push_heap(heap.begin(), heap.end(), less);
+    }
     parked.clear();
   }
   PlacementMetrics& m = placement_metrics();
@@ -240,17 +206,6 @@ std::vector<UserId> greedy_lazy(const PlacementContext& context,
   m.lazy_hits.add(lazy_hits);
   m.lazy_misses.add(lazy_misses);
   m.parked.add(parked_count);
-  return chosen;
-}
-
-template <typename Oracle>
-std::vector<UserId> run_greedy(const PlacementContext& context,
-                               Oracle& oracle, const DaySchedule& owner,
-                               bool least_overlap, bool lazy) {
-  const bool by_overlap =
-      context.connectivity == Connectivity::kConRep && least_overlap;
-  if (lazy && !by_overlap) return greedy_lazy(context, oracle, owner);
-  return greedy_eager(context, oracle, owner, least_overlap);
 }
 
 }  // namespace
@@ -270,44 +225,48 @@ std::string MaxAvPolicy::name() const {
   return "MaxAv(?)";
 }
 
-std::vector<UserId> MaxAvPolicy::select_impl(const PlacementContext& context,
-                                        util::Rng&) const {
-  std::vector<UserId> chosen = objective_ == MaxAvObjective::kAoDActivity
-                                   ? select_activity_cover(context)
-                                   : select_schedule_cover(context);
+void MaxAvPolicy::select_impl(const PlacementContext& context, util::Rng&,
+                              PlacementScratch& scratch) const {
+  const bool by_overlap = conrep_least_overlap_ &&
+                          context.connectivity == Connectivity::kConRep;
+  scratch.start(context);
+  const auto run = [&](auto oracle) {
+    if (lazy_ && !by_overlap)
+      greedy_lazy(context, oracle, scratch);
+    else
+      greedy_eager(context, oracle, by_overlap, scratch);
+  };
+  const IntervalSet& owner = context.schedule_of(context.user).set();
+  if (objective_ == MaxAvObjective::kAoDActivity) {
+    DOSN_REQUIRE(context.trace != nullptr,
+                 "MaxAv(aod-activity) needs the activity trace");
+    // Universe: time-of-day instants of the activities received on the
+    // user's profile in the observed past.
+    scratch.points.clear();
+    scratch.point_covered.clear();
+    for (const auto& a : context.trace->received_by(context.user)) {
+      const Seconds t = interval::time_of_day(a.timestamp);
+      scratch.points.push_back(t);
+      scratch.point_covered.push_back(owner.contains(t) ? 1 : 0);
+    }
+    run(ActivityOracle{context, scratch.points, scratch.point_covered});
+  } else {
+    scratch.covered.clear();
+    if (objective_ == MaxAvObjective::kAvailability) scratch.covered = owner;
+    // Room for the owner's and every pick's pieces in both unite_with buffers.
+    std::size_t widest = 0;
+    for (const UserId f : context.candidates)
+      widest = std::max(widest, context.schedule_of(f).set().piece_count());
+    const std::size_t pieces =
+        owner.piece_count() +
+        widest * std::min(context.max_replicas, context.candidates.size());
+    scratch.covered.reserve(pieces);
+    scratch.cover_buffer.reserve(pieces);
+    run(ScheduleOracle{context, scratch.covered, scratch.cover_buffer});
+  }
   PlacementMetrics& m = placement_metrics();
   m.selections.add(1);
-  m.selected_k.record(static_cast<std::int64_t>(chosen.size()));
-  return chosen;
-}
-
-std::vector<UserId> MaxAvPolicy::select_schedule_cover(
-    const PlacementContext& context) const {
-  const DaySchedule& owner = context.schedule_of(context.user);
-  ScheduleOracle oracle{context,
-                        objective_ == MaxAvObjective::kAvailability
-                            ? owner.set()
-                            : IntervalSet{},
-                        {}};
-  return run_greedy(context, oracle, owner, conrep_least_overlap_, lazy_);
-}
-
-std::vector<UserId> MaxAvPolicy::select_activity_cover(
-    const PlacementContext& context) const {
-  DOSN_REQUIRE(context.trace != nullptr,
-               "MaxAv(aod-activity) needs the activity trace");
-  const DaySchedule& owner = context.schedule_of(context.user);
-
-  // Universe: time-of-day instants of the activities received on the
-  // user's profile in the observed past.
-  ActivityOracle oracle{context, {}, {}};
-  for (const auto& a : context.trace->received_by(context.user))
-    oracle.points.push_back(interval::time_of_day(a.timestamp));
-  oracle.covered.assign(oracle.points.size(), false);
-  for (std::size_t p = 0; p < oracle.points.size(); ++p)
-    if (owner.set().contains(oracle.points[p])) oracle.covered[p] = true;
-
-  return run_greedy(context, oracle, owner, conrep_least_overlap_, lazy_);
+  m.selected_k.record(static_cast<std::int64_t>(scratch.selection.size()));
 }
 
 }  // namespace dosn::placement

@@ -35,15 +35,10 @@ class MaxAvPolicy final : public ReplicaPolicy {
                        bool conrep_least_overlap = false, bool lazy = true);
 
   std::string name() const override;
-  std::vector<UserId> select_impl(const PlacementContext& context,
-                             util::Rng& rng) const override;
+  void select_impl(const PlacementContext& context, util::Rng& rng,
+                   PlacementScratch& scratch) const override;
 
  private:
-  std::vector<UserId> select_schedule_cover(const PlacementContext& context)
-      const;
-  std::vector<UserId> select_activity_cover(const PlacementContext& context)
-      const;
-
   MaxAvObjective objective_;
   bool conrep_least_overlap_;
   bool lazy_;

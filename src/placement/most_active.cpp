@@ -4,64 +4,44 @@
 
 namespace dosn::placement {
 
-std::vector<UserId> MostActivePolicy::select_impl(const PlacementContext& context,
-                                             util::Rng& rng) const {
+void MostActivePolicy::select_impl(const PlacementContext& context,
+                                   util::Rng& rng,
+                                   PlacementScratch& scratch) const {
   DOSN_REQUIRE(context.trace != nullptr,
                "MostActive needs the activity trace");
-  const bool conrep = context.connectivity == Connectivity::kConRep;
+  const std::span<const UserId> candidates = context.candidates;
 
-  // Rank: activity count descending; zero-activity candidates shuffled.
-  struct Ranked {
-    UserId id;
-    std::size_t count;
-  };
-  std::vector<Ranked> active;
-  std::vector<UserId> idle;
-  for (UserId f : context.candidates) {
-    const std::size_t c = context.trace->interaction_count(context.user, f);
-    if (c > 0)
-      active.push_back({f, c});
-    else
-      idle.push_back(f);
+  // Rank candidate indices: activity count descending, id ascending; the
+  // zero-activity candidates follow, shuffled (a shuffle of indices draws
+  // the same permutation as one of ids).
+  std::vector<std::size_t>& counts = scratch.counts;
+  std::vector<std::size_t>& order = scratch.order;
+  std::vector<std::size_t>& idle = scratch.idle;
+  counts.resize(candidates.size());
+  order.clear();
+  order.reserve(candidates.size());
+  idle.clear();
+  idle.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    counts[i] = context.trace->interaction_count(context.user, candidates[i]);
+    (counts[i] > 0 ? order : idle).push_back(i);
   }
-  std::sort(active.begin(), active.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.id < b.id;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return counts[a] != counts[b] ? counts[a] > counts[b]
+                                  : candidates[a] < candidates[b];
   });
   rng.shuffle(idle);
-
-  std::vector<UserId> order;
-  order.reserve(context.candidates.size());
-  for (const auto& r : active) order.push_back(r.id);
   order.insert(order.end(), idle.begin(), idle.end());
 
-  std::vector<UserId> chosen;
-  if (!conrep) {
-    const std::size_t take = std::min(order.size(), context.max_replicas);
-    chosen.assign(order.begin(),
-                  order.begin() + static_cast<std::ptrdiff_t>(take));
-    return chosen;
+  // Each round takes the best-ranked candidate the frontier connects (under
+  // UnconRep simply the next one in rank order).
+  scratch.start(context);
+  while (scratch.selection.size() < context.max_replicas) {
+    const auto pick = std::ranges::find_if(
+        order, [&](std::size_t i) { return scratch.eligible(i); });
+    if (pick == order.end()) break;
+    scratch.take(context, *pick);
   }
-
-  DaySchedule connectivity_union = context.schedule_of(context.user);
-  std::vector<bool> used(order.size(), false);
-  while (chosen.size() < context.max_replicas) {
-    std::ptrdiff_t pick = -1;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (used[i]) continue;
-      if (detail::is_connected(context.schedule_of(order[i]),
-                               connectivity_union, !chosen.empty())) {
-        pick = static_cast<std::ptrdiff_t>(i);
-        break;  // order is the rank order: first hit is best-ranked
-      }
-    }
-    if (pick < 0) break;
-    used[static_cast<std::size_t>(pick)] = true;
-    const UserId f = order[static_cast<std::size_t>(pick)];
-    chosen.push_back(f);
-    connectivity_union = connectivity_union.unite(context.schedule_of(f));
-  }
-  return chosen;
 }
 
 }  // namespace dosn::placement

@@ -16,8 +16,8 @@ class MostActivePolicy final : public ReplicaPolicy {
  public:
   std::string name() const override { return "MostActive"; }
   bool randomized() const override { return true; }  // zero-activity filler
-  std::vector<UserId> select_impl(const PlacementContext& context,
-                             util::Rng& rng) const override;
+  void select_impl(const PlacementContext& context, util::Rng& rng,
+                   PlacementScratch& scratch) const override;
 };
 
 }  // namespace dosn::placement

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
 #include "placement/core_group.hpp"
 #include "placement/hybrid.hpp"
 #include "placement/max_av.hpp"
@@ -11,11 +12,53 @@
 
 namespace dosn::placement {
 
+namespace {
+
+/// The placement contract select() enforces. Names the policy only in a
+/// failure message, so a passing check allocates nothing.
+void validate_selection(const PlacementContext& context,
+                        std::span<const UserId> selection,
+                        const ReplicaPolicy& policy) {
+  DOSN_CHECK(selection.size() <= context.max_replicas, policy.name(),
+             ": selected ", selection.size(),
+             " replicas, exceeding the replication budget k = ",
+             context.max_replicas, " for user ", context.user);
+  // Linear scans per holder, with no sorted copy: the selection holds at
+  // most k entries and candidate spans need not be sorted.
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    const UserId holder = selection[i];
+    DOSN_CHECK(std::ranges::count(selection.first(i), holder) == 0,
+               policy.name(), ": duplicate replica holder for user ",
+               context.user);
+    DOSN_CHECK(std::ranges::count(context.candidates, holder) > 0,
+               policy.name(), ": replica holder ", holder,
+               " is not a contact of user ", context.user);
+  }
+}
+
+}  // namespace
+
+std::span<const UserId> ReplicaPolicy::select(const PlacementContext& context,
+                                              util::Rng& rng,
+                                              PlacementScratch& scratch) const {
+  scratch.selection.clear();
+  scratch.selection.reserve(context.candidates.size());
+  select_impl(context, rng, scratch);
+  if (const std::uint64_t tests = scratch.frontier.take_tests(); tests > 0) {
+    // The frontier's `intersects` calls (DESIGN.md §9), once per selection.
+    static obs::Counter& conrep_tests =
+        obs::Registry::global().counter("placement.conrep.tests");
+    conrep_tests.add(tests);
+  }
+  validate_selection(context, scratch.selection, *this);
+  return scratch.selection;
+}
+
 std::vector<UserId> ReplicaPolicy::select(const PlacementContext& context,
                                           util::Rng& rng) const {
-  std::vector<UserId> selection = select_impl(context, rng);
-  detail::validate_selection(context, selection, name());
-  return selection;
+  thread_local PlacementScratch scratch;  // select never re-enters itself
+  const std::span<const UserId> selection = select(context, rng, scratch);
+  return {selection.begin(), selection.end()};  // sized to the selection
 }
 
 std::string to_string(Connectivity c) {
@@ -60,43 +103,5 @@ std::unique_ptr<ReplicaPolicy> make_policy(PolicyKind kind,
   }
   throw ConfigError("make_policy: unknown policy kind");
 }
-
-namespace detail {
-
-bool is_connected(const DaySchedule& candidate,
-                  const DaySchedule& connectivity_union, bool any_selected) {
-  if (!connectivity_union.empty())
-    return candidate.intersects(connectivity_union);
-  // The connectivity set is empty (owner never online): the first replica
-  // seeds connectivity, so any candidate with a schedule qualifies; after
-  // that nothing can connect to an empty union.
-  return !any_selected && !candidate.empty();
-}
-
-void validate_selection(const PlacementContext& context,
-                        std::span<const UserId> selection,
-                        const std::string& policy_name) {
-  DOSN_CHECK(selection.size() <= context.max_replicas, policy_name,
-             ": selected ", selection.size(),
-             " replicas, exceeding the replication budget k = ",
-             context.max_replicas, " for user ", context.user);
-  std::vector<UserId> seen(selection.begin(), selection.end());
-  std::sort(seen.begin(), seen.end());
-  DOSN_CHECK(std::adjacent_find(seen.begin(), seen.end()) == seen.end(),
-             policy_name, ": duplicate replica holder for user ",
-             context.user);
-  for (UserId holder : selection) {
-    // Linear membership scan: candidate spans need not be sorted, and the
-    // selection is at most k entries, so this is cheaper than the
-    // selection pass that produced it.
-    DOSN_CHECK(std::find(context.candidates.begin(),
-                         context.candidates.end(),
-                         holder) != context.candidates.end(),
-               policy_name, ": replica holder ", holder,
-               " is not a contact of user ", context.user);
-  }
-}
-
-}  // namespace detail
 
 }  // namespace dosn::placement

@@ -8,15 +8,18 @@
 // because policies build their selection incrementally.
 //
 // ConRep (connected replicas): each new replica must overlap in time with
-// at least one already-selected replica. The owner's own schedule seeds the
-// connectivity set — the profile originates at the owner. If the owner is
-// never online, the first replica seeds connectivity instead.
-// UnconRep: no constraint (replicas exchange updates through third-party
-// storage).
+// the owner or with at least one already-selected replica. The owner's own
+// schedule seeds the connectivity set — the profile originates at the
+// owner. If the owner is never online, the first replica seeds
+// connectivity instead. UnconRep: no constraint (replicas exchange updates
+// through third-party storage). Every policy asks one
+// detail::ConnectivityFrontier, through a caller-owned PlacementScratch.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "interval/day_schedule.hpp"
@@ -62,6 +65,101 @@ struct PlacementContext {
     DOSN_ASSERT(u < schedules.size());
     return schedules[u];
   }
+  const DaySchedule& candidate_schedule(std::size_t i) const {
+    return schedule_of(candidates[i]);
+  }
+};
+
+namespace detail {
+
+/// Which candidates a selection may pick next (DESIGN.md §2). Under ConRep
+/// a candidate must overlap a source (the owner if ever online, or a pick);
+/// its cursor makes each (candidate, source) pair tested at most once, and
+/// only when a policy asks. With no source yet, any online candidate
+/// qualifies; under UnconRep every candidate does.
+class ConnectivityFrontier {
+ public:
+  /// Starts a selection for `context`, which must outlive it.
+  void reset(const PlacementContext& context) {
+    context_ = &context;
+    conrep_ = context.connectivity == Connectivity::kConRep;
+    if (!conrep_) return;
+    const DaySchedule& owner = context.schedule_of(context.user);
+    sources_.assign(owner.empty() ? 0 : 1, &owner);
+    sources_.reserve(context.candidates.size() + 1);
+    cursor_.assign(context.candidates.size(), 0);
+  }
+
+  /// May candidate i (an index into context.candidates) be picked?
+  bool connected(std::size_t i) {
+    if (!conrep_) return true;
+    const DaySchedule& candidate = context_->candidate_schedule(i);
+    if (sources_.empty()) return !candidate.empty();
+    std::uint32_t& cursor = cursor_[i];
+    while (cursor < sources_.size()) {
+      ++tests_;
+      if (candidate.intersects(*sources_[cursor++])) cursor = kConnected;
+    }
+    return cursor == kConnected;
+  }
+
+  /// Records candidate i as picked: one more source, no test.
+  void pick(std::size_t i) {
+    if (conrep_) sources_.push_back(&context_->candidate_schedule(i));
+  }
+
+  /// `intersects` calls since the last take, and restarts the tally.
+  std::uint64_t take_tests() { return std::exchange(tests_, 0); }
+
+ private:
+  static constexpr std::uint32_t kConnected = UINT32_MAX;
+
+  const PlacementContext* context_ = nullptr;
+  bool conrep_ = false;
+  std::vector<const DaySchedule*> sources_;
+  std::vector<std::uint32_t> cursor_;  ///< next source, or kConnected
+  std::uint64_t tests_ = 0;
+};
+
+/// A CELF heap entry (placement/max_av.cpp).
+struct LazyEntry {
+  std::int64_t gain = 0;  ///< upper bound on the current marginal gain
+  std::size_t index = 0;
+  std::size_t stamp = 0;  ///< picks made when `gain` was computed
+};
+
+}  // namespace detail
+
+/// Every buffer a selection uses, owned by the caller so a shard can reuse
+/// one across its users: once warmed on a user at least as large, select
+/// allocates nothing.
+struct PlacementScratch {
+  /// Starts a round-by-round selection: nothing picked yet.
+  void start(const PlacementContext& context) {
+    frontier.reset(context);
+    used.assign(context.candidates.size(), 0);
+  }
+  bool eligible(std::size_t i) { return !used[i] && frontier.connected(i); }
+  void take(const PlacementContext& context, std::size_t i) {
+    used[i] = 1;
+    selection.push_back(context.candidates[i]);
+    frontier.pick(i);
+  }
+
+  detail::ConnectivityFrontier frontier;
+  std::vector<std::uint8_t> used;         ///< per candidate
+  std::vector<detail::LazyEntry> heap;    ///< MaxAv CELF
+  std::vector<detail::LazyEntry> parked;  ///< CELF: not connected yet
+  /// MostActive: activity counts, the rank order and its zero-activity
+  /// tail; Random's connected list (all by candidate index).
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> idle;
+  interval::IntervalSet covered;  ///< MaxAv, CoreGroup and Hybrid cover
+  std::vector<interval::Interval> cover_buffer;  ///< unite_with spare
+  std::vector<Seconds> points;    ///< MaxAv activity instants
+  std::vector<std::uint8_t> point_covered;
+  std::vector<UserId> selection;  ///< what select returns
 };
 
 class ReplicaPolicy {
@@ -76,20 +174,27 @@ class ReplicaPolicy {
 
   /// Replica holders in selection order; size <= max_replicas (policies
   /// may stop early: MaxAv stops when coverage no longer improves, ConRep
-  /// stops when no remaining candidate is time-connected).
+  /// stops when no remaining candidate is time-connected). The span views
+  /// scratch.selection.
   ///
   /// Non-virtual template method: runs the policy's select_impl and then
   /// enforces the placement contract (within budget, drawn from the
   /// candidate set, duplicate-free) with DOSN_CHECK — a policy that
   /// violates it throws util::ContractError instead of silently skewing
   /// every downstream availability/delay figure.
+  std::span<const UserId> select(const PlacementContext& context,
+                                 util::Rng& rng,
+                                 PlacementScratch& scratch) const;
+
+  /// The same, through this thread's scratch (serving, tests).
   std::vector<UserId> select(const PlacementContext& context,
                              util::Rng& rng) const;
 
  protected:
-  /// Policy-specific selection; see select() for the enforced contract.
-  virtual std::vector<UserId> select_impl(const PlacementContext& context,
-                                          util::Rng& rng) const = 0;
+  /// Policy-specific selection into scratch.selection (empty on entry);
+  /// see select() for the enforced contract.
+  virtual void select_impl(const PlacementContext& context, util::Rng& rng,
+                           PlacementScratch& scratch) const = 0;
 };
 
 enum class PolicyKind {
@@ -125,21 +230,5 @@ struct PolicyParams {
 
 std::unique_ptr<ReplicaPolicy> make_policy(PolicyKind kind,
                                            const PolicyParams& params = {});
-
-namespace detail {
-
-/// Incremental ConRep helper shared by the policies: true iff `candidate`
-/// may be selected given the connectivity set accumulated so far.
-bool is_connected(const DaySchedule& candidate,
-                  const DaySchedule& connectivity_union, bool any_selected);
-
-/// DOSN_CHECKs the placement contract for `selection` against `context`:
-/// size within max_replicas, every holder a member of context.candidates,
-/// no holder selected twice. Exposed for tests and external policy hosts.
-void validate_selection(const PlacementContext& context,
-                        std::span<const UserId> selection,
-                        const std::string& policy_name);
-
-}  // namespace detail
 
 }  // namespace dosn::placement

@@ -2,38 +2,29 @@
 
 namespace dosn::placement {
 
-std::vector<UserId> RandomPolicy::select_impl(const PlacementContext& context,
-                                         util::Rng& rng) const {
-  std::vector<UserId> pool(context.candidates.begin(),
-                           context.candidates.end());
-  const bool conrep = context.connectivity == Connectivity::kConRep;
-
-  std::vector<UserId> chosen;
-  if (!conrep) {
-    rng.shuffle(pool);
-    const std::size_t take = std::min(pool.size(), context.max_replicas);
-    chosen.assign(pool.begin(),
-                  pool.begin() + static_cast<std::ptrdiff_t>(take));
-    return chosen;
+void RandomPolicy::select_impl(const PlacementContext& context,
+                               util::Rng& rng,
+                               PlacementScratch& scratch) const {
+  std::vector<UserId>& chosen = scratch.selection;
+  if (context.connectivity != Connectivity::kConRep) {
+    chosen.assign(context.candidates.begin(), context.candidates.end());
+    rng.shuffle(chosen);
+    chosen.resize(std::min(chosen.size(), context.max_replicas));
+    return;
   }
 
-  DaySchedule connectivity_union = context.schedule_of(context.user);
-  while (chosen.size() < context.max_replicas && !pool.empty()) {
-    std::vector<std::size_t> connected;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (detail::is_connected(context.schedule_of(pool[i]),
-                               connectivity_union, !chosen.empty()))
-        connected.push_back(i);
-    }
+  // Each round draws uniformly among the eligible candidates, in order.
+  scratch.start(context);
+  std::vector<std::size_t>& connected = scratch.order;
+  connected.reserve(context.candidates.size());
+  while (chosen.size() < context.max_replicas) {
+    connected.clear();
+    for (std::size_t i = 0; i < context.candidates.size(); ++i)
+      if (scratch.eligible(i)) connected.push_back(i);
     if (connected.empty()) break;
-    const std::size_t pick =
-        connected[static_cast<std::size_t>(rng.below(connected.size()))];
-    const UserId f = pool[pick];
-    chosen.push_back(f);
-    connectivity_union = connectivity_union.unite(context.schedule_of(f));
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
+    scratch.take(context, connected[static_cast<std::size_t>(
+                              rng.below(connected.size()))]);
   }
-  return chosen;
 }
 
 }  // namespace dosn::placement

@@ -11,8 +11,8 @@ class RandomPolicy final : public ReplicaPolicy {
  public:
   std::string name() const override { return "Random"; }
   bool randomized() const override { return true; }
-  std::vector<UserId> select_impl(const PlacementContext& context,
-                             util::Rng& rng) const override;
+  void select_impl(const PlacementContext& context, util::Rng& rng,
+                   PlacementScratch& scratch) const override;
 };
 
 }  // namespace dosn::placement

@@ -76,9 +76,11 @@ std::vector<std::size_t> policy_reps(
   return reps;
 }
 
-/// One task's reusable state in Study::evaluate_cohort: the user table and
-/// the user's selections, all runs back to back.
+/// One task's reusable state in Study::evaluate_cohort: the placement
+/// buffers, the user table and the user's selections, all runs back to
+/// back.
 struct TaskScratch {
+  placement::PlacementScratch placement;
   UserTable table;
   std::vector<graph::UserId> holders;
   std::vector<std::size_t> run_end;  ///< end of run r's picks in holders
@@ -246,7 +248,8 @@ std::vector<std::vector<CohortMetrics>> Study::evaluate_cohort(
         ts.run_end.clear();
         for (const CohortRun& run : runs) {
           util::Rng rng(util::mix64(run.stream_seed, u));
-          const auto selected = run.policy->select(context, rng);
+          const auto selected =
+              run.policy->select(context, rng, ts.placement);
           ts.holders.insert(ts.holders.end(), selected.begin(),
                             selected.end());
           ts.run_end.push_back(ts.holders.size());

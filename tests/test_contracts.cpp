@@ -160,9 +160,9 @@ class ScriptedPolicy final : public ReplicaPolicy {
   std::string name() const override { return "Scripted"; }
 
  protected:
-  std::vector<UserId> select_impl(const PlacementContext&,
-                                  util::Rng&) const override {
-    return selection_;
+  void select_impl(const PlacementContext&, util::Rng&,
+                   placement::PlacementScratch& scratch) const override {
+    scratch.selection = selection_;
   }
 
  private:
