@@ -15,9 +15,10 @@ using interval::IntervalSet;
 using interval::Seconds;
 
 void validate(const SuperPeerConfig& config) {
-  if (config.volunteer_threshold < 0.0 || config.volunteer_threshold > 1.0)
+  // Positive-form checks: NaN fails every comparison, so it is rejected.
+  if (!(config.volunteer_threshold >= 0.0 && config.volunteer_threshold <= 1.0))
     throw ConfigError("super_peer: volunteer_threshold must be in [0, 1]");
-  if (config.target_availability < 0.0 || config.target_availability > 1.0)
+  if (!(config.target_availability >= 0.0 && config.target_availability <= 1.0))
     throw ConfigError("super_peer: target_availability must be in [0, 1]");
   if (config.max_storekeepers > 64)
     throw ConfigError("super_peer: max_storekeepers must be <= 64");

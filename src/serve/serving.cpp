@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "interval/day_schedule.hpp"
 #include "interval/interval_set.hpp"
@@ -33,38 +34,16 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Per-run totals, flushed in batches so the request loop carries one
-/// shard-add per user, not per request. Latency histograms are recorded
-/// per request (a relaxed bucket add when observability is on).
+/// Latency histograms, recorded per request (a relaxed bucket add when
+/// observability is on). The run's counters are published once, from
+/// the reduced report (publish_counters).
 struct ServeMetrics {
-  obs::Counter& requests = obs::Registry::global().counter("serve.requests");
-  obs::Counter& unserved = obs::Registry::global().counter("serve.unserved");
-  obs::Counter& slo_misses =
-      obs::Registry::global().counter("serve.slo_misses");
   obs::Histogram& read = obs::Registry::global().histogram(
       "serve.latency.read", LatencyHistogram::default_bounds());
   obs::Histogram& feed = obs::Registry::global().histogram(
       "serve.latency.feed", LatencyHistogram::default_bounds());
   obs::Histogram& write = obs::Registry::global().histogram(
       "serve.latency.write", LatencyHistogram::default_bounds());
-  obs::Counter& retries =
-      obs::Registry::global().counter("serve.resilience.retries");
-  obs::Counter& hedges =
-      obs::Registry::global().counter("serve.resilience.hedges");
-  obs::Counter& hedge_wins =
-      obs::Registry::global().counter("serve.resilience.hedge_wins");
-  obs::Counter& stale_served =
-      obs::Registry::global().counter("serve.resilience.stale_served");
-  obs::Counter& degraded_feeds =
-      obs::Registry::global().counter("serve.resilience.degraded_feeds");
-  obs::Counter& dht_lookups =
-      obs::Registry::global().counter("net.social_dht.lookups");
-  obs::Counter& dht_lookup_hops =
-      obs::Registry::global().counter("net.social_dht.lookup_hops");
-  obs::Counter& dht_locality_hits =
-      obs::Registry::global().counter("net.social_dht.locality_hits");
-  obs::Counter& storekeepers =
-      obs::Registry::global().counter("placement.super_peer.storekeepers");
 };
 
 ServeMetrics& serve_metrics() {
@@ -88,9 +67,6 @@ struct GroupTimeline {
   /// degeneracy, which is what keeps that path bit-identical).
   std::vector<graph::UserId> storekeepers;
   IntervalSet online;
-  /// kSocialDht only: realized union of the non-owner responsible nodes —
-  /// the surface a DHT put must reach for durability.
-  IntervalSet store;
   IntervalSet ideal;
   IntervalSet hedge;
 };
@@ -163,8 +139,6 @@ struct RunContext {
   /// Relay availability under UnconRep: canonical outage windows clipped
   /// to the horizon (explicit plan windows — identical for every user).
   IntervalSet relay_outages;
-  /// Storage regime of the run (mirrors config.regime).
-  placement::StorageRegime regime = placement::StorageRegime::kReplicaGroup;
   /// Scaled ring under kSocialDht; null otherwise.
   const net::SocialDht* dht = nullptr;
   /// Volunteer directory under kSuperPeer; null otherwise.
@@ -213,7 +187,7 @@ struct RunContext {
   GroupTimeline realize_group(graph::UserId user) const {
     GroupTimeline g;
     util::Rng rng(util::mix64(placement_stream, user));
-    if (regime == placement::StorageRegime::kSocialDht) {
+    if (config.regime == placement::StorageRegime::kSocialDht) {
       // The ring replaces the policy: the profile lives on the successor
       // nodes of its (socially remapped) key. The owner's local copy
       // always serves too, so the owner is dropped from the stored
@@ -231,7 +205,7 @@ struct RunContext {
       ctx.max_replicas = config.replicas;
       g.selection = policy.select(ctx, rng);
     }
-    if (regime == placement::StorageRegime::kSuperPeer) {
+    if (config.regime == placement::StorageRegime::kSuperPeer) {
       // Volunteer storekeepers for a group that misses the availability
       // target; crashed volunteers are skipped (graceful re-assignment).
       // An empty directory (threshold 1.0) assigns nobody and the path
@@ -253,8 +227,6 @@ struct RunContext {
 
     net::FaultInjector injector(plan_for(user));
     g.online = union_sessions(injector, members, days);
-    if (regime == placement::StorageRegime::kSocialDht)
-      g.store = union_sessions(injector, std::span(members).subspan(1), days);
 
     if (resilient) {
       // Advertised (unfaulted) surfaces for the resilience paths, built
@@ -363,12 +335,13 @@ SimTime give_up_instant(const ResiliencePolicy& p, SimTime t) {
   return give_up;
 }
 
-/// One resilient profile fetch: the primary (realized) wait raced against
-/// the hedged and stale alternatives (serving.hpp). Every alternative is
-/// no earlier than the primary under the zero plan, so the winning
-/// arrival — and the request log — is bit-identical to the naive path
-/// when no fault fires. Ties go to the freshest path (primary, then
-/// hedge, then stale).
+/// One profile fetch: the primary (realized) wait raced against the
+/// hedged and stale alternatives (serving.hpp). The naive client is the
+/// zero policy: it takes the primary arrival at once, with no retries
+/// counted. Every alternative is no earlier than the primary under the
+/// zero plan, so an enabled policy then reproduces the naive request log
+/// bit for bit. Ties go to the freshest path (primary, then hedge, then
+/// stale).
 struct FetchOutcome {
   std::optional<SimTime> arrival;
   std::uint32_t retries = 0;
@@ -377,13 +350,17 @@ struct FetchOutcome {
   bool stale_win = false;
 };
 
-FetchOutcome resilient_fetch(const RunContext& run,
-                             const GroupTimeline& group, SimTime t) {
+FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
+                   SimTime t) {
   const ResiliencePolicy& p = run.config.resilience;
   FetchOutcome out;
   const auto primary_wait = fetch_wait(run, group, t);
   std::optional<SimTime> best;
   if (primary_wait) best = t + *primary_wait;
+  if (!run.resilient) {
+    out.arrival = best;
+    return out;
+  }
 
   if (p.hedged_reads && (!best || *best > t + p.hedge_delay)) {
     // Primary not done by the hedge delay: launch the hedge against the
@@ -434,7 +411,7 @@ void serve_user(const RunContext& run, const GroupTable& groups,
 
   const GroupTimeline& own = groups.at(user);
   const bool dht_regime =
-      run.regime == placement::StorageRegime::kSocialDht;
+      run.config.regime == placement::StorageRegime::kSocialDht;
 
   // Regime axes of the served user's own profile (regime-independent —
   // kReplicaGroup reports them too, which is what turns the degeneracy
@@ -446,19 +423,27 @@ void serve_user(const RunContext& run, const GroupTable& groups,
   load.regime.online_seconds +=
       static_cast<std::uint64_t>(own.online.measure());
 
-  // Post writes run through the event-driven replica simulator: the write
-  // requests become UpdateSpecs (origin 0 = the owner) and ConRep
-  // durability is the realized anti-entropy arrival at the first
+  // Write durability, decided once per user. Under ConRep a replica
+  // group's writes run through the event-driven replica simulator: the
+  // write requests become UpdateSpecs (origin 0 = the owner) and a write
+  // is durable at the realized anti-entropy arrival at the first
   // non-origin replica, under the same per-user fault plan the read path
-  // realizes its sessions from.
+  // realizes its sessions from. Otherwise a write is durable once a
+  // realized `durable` surface next covers an instant: the non-owner
+  // responsible nodes under kSocialDht (a DHT put), the owner online
+  // while the relay is up under UnconRep (the upload to the persistent
+  // store). With neither, the owner alone holds the profile and the
+  // write is durable locally.
   std::vector<net::UpdateSpec> writes;
   for (const auto& r : requests)
     if (r.kind == RequestKind::kPostWrite)
       writes.push_back({r.time, 0});
-  net::ReplicaSimReport write_report;
   const bool simulate_writes =
       !writes.empty() && !own.selection.empty() && !dht_regime &&
       run.config.connectivity == placement::Connectivity::kConRep;
+  net::ReplicaSimReport write_report;
+  std::optional<IntervalSet> durable;
+  const int days = run.config.workload.horizon_days;
   if (simulate_writes) {
     std::vector<DaySchedule> nodes;
     nodes.reserve(own.selection.size() + 1);
@@ -467,29 +452,35 @@ void serve_user(const RunContext& run, const GroupTable& groups,
       nodes.push_back(run.schedules[holder]);
     net::ReplicaSimConfig sim_config;
     sim_config.connectivity = run.config.connectivity;
-    sim_config.horizon_days = run.config.workload.horizon_days;
+    sim_config.horizon_days = days;
     sim_config.faults = run.plan_for(user);
     write_report = net::simulate_replica_group(nodes, writes, sim_config);
-  }
-  // Upload surface for UnconRep writes: owner online while the relay is
-  // up (own.online includes the replicas; re-derive the owner's sessions
-  // alone only when needed).
-  IntervalSet upload;
-  if (run.relay_exists() && !writes.empty()) {
+  } else if (!writes.empty() &&
+             (dht_regime ? !own.selection.empty() : run.relay_exists())) {
+    // Fault-stream node ids as realize_group numbers them (owner 0, then
+    // the selection); relay_outages is empty outside UnconRep.
+    std::vector<Member> holders;
+    if (dht_regime) {
+      for (const graph::UserId v : own.selection)
+        holders.push_back({holders.size() + 1, &run.schedules[v]});
+    } else {
+      holders.push_back({0, &run.schedules[user]});
+    }
     net::FaultInjector injector(run.plan_for(user));
-    const Member owner{0, &run.schedules[user]};
-    upload = union_sessions(injector, {&owner, 1},
-                            run.config.workload.horizon_days)
-                 .subtract(run.relay_outages);
+    durable = union_sessions(injector, holders, days)
+                  .subtract(run.relay_outages);
   }
 
   ServeMetrics& metrics = serve_metrics();
+  const ResiliencePolicy& policy = run.config.resilience;
   const Seconds crypto = run.config.crypto_op_cost;
-  const auto note_fetch = [&load](const FetchOutcome& o) {
+  const auto fetch_noted = [&](const GroupTimeline& group, SimTime t) {
+    const FetchOutcome o = fetch(run, group, t);
     load.res.retries += o.retries;
     if (o.hedged) ++load.res.hedges;
     if (o.hedge_win) ++load.res.hedge_wins;
     if (o.stale_win) ++load.res.stale_served;
+    return o.arrival;
   };
   std::vector<SimTime> arrivals;  // feed scratch, reused across requests
   std::vector<graph::UserId> feed_owners;  // DHT fan-in scratch
@@ -505,22 +496,17 @@ void serve_user(const RunContext& run, const GroupTable& groups,
         if (contacts.empty()) {
           latency = 0;
         } else {
-          const std::size_t target = r.target_index % contacts.size();
+          const graph::UserId target =
+              contacts[r.target_index % contacts.size()];
           if (dht_regime) {
-            const auto l = run.dht->lookup_from(user, contacts[target]);
+            const auto l = run.dht->lookup_from(user, target);
             ++load.regime.lookups;
             load.regime.lookup_hops += l.hops;
             regime_tax = run.config.social_dht.hop_cost *
                          static_cast<Seconds>(l.hops);
           }
-          if (!run.resilient) {
-            latency = fetch_wait(run, groups.at(contacts[target]), r.time);
-          } else {
-            const auto o =
-                resilient_fetch(run, groups.at(contacts[target]), r.time);
-            note_fetch(o);
-            if (o.arrival) latency = *o.arrival - r.time;
-          }
+          if (const auto arrival = fetch_noted(groups.at(target), r.time))
+            latency = *arrival - r.time;
         }
         if (latency) *latency += crypto;
         break;
@@ -549,50 +535,29 @@ void serve_user(const RunContext& run, const GroupTable& groups,
           regime_tax = run.config.social_dht.hop_cost *
                        static_cast<Seconds>(route_hops);
         }
-        const Seconds fan_crypto =
-            crypto * static_cast<Seconds>(contacts.size());
-        if (!run.resilient) {
-          // Fan-in: the feed completes with the slowest friend fetch; one
-          // unreachable friend leaves the feed unassembled (unserved).
-          Seconds slowest = 0;
-          bool complete = true;
-          for (std::size_t i = 0; i < contacts.size(); ++i) {
-            const auto wait = fetch_wait(run, groups.at(contacts[i]), r.time);
-            if (!wait) {
-              complete = false;
-              break;
-            }
-            slowest = std::max(slowest, *wait);
-          }
-          if (complete) {
-            latency = slowest + fan_crypto;
-            load.res.feed_coverage_sum += 1.0;
-            ++load.res.feed_coverage_count;
-          }
-          break;
-        }
-        // Resilient fan-in: every friend fetched through the resilient
-        // path; a feed whose slowest fetches blow the feed budget is
-        // served partial at the budget instant when coverage allows
-        // (serving.hpp). The budget is never below the ideal feed
-        // completion, so under the zero plan the full-serve branch is
-        // always taken and the outcome matches the naive path bit for
-        // bit.
-        const ResiliencePolicy& p = run.config.resilience;
+        // Fan-in: the feed completes with the slowest friend fetch, and
+        // one unreachable friend leaves it unassembled (unserved) — the
+        // naive client stops fetching there. A resilient feed fetches
+        // every friend (each fetch counts its retries and hedges). With
+        // degrade_feeds, a feed whose slowest fetches blow the feed
+        // budget is served partial at the budget instant when coverage
+        // allows (serving.hpp). The budget is never below the ideal feed
+        // completion, so under the zero plan the full feed is always
+        // served and the outcome matches the naive path bit for bit.
         arrivals.clear();
         bool reachable = true;
         SimTime done = r.time;
-        bool budgetable = p.degrade_feeds;
+        bool budgetable = policy.degrade_feeds;
         SimTime ideal_done = r.time;
-        for (std::size_t i = 0; i < contacts.size(); ++i) {
-          const GroupTimeline& fg = groups.at(contacts[i]);
-          const auto o = resilient_fetch(run, fg, r.time);
-          note_fetch(o);
-          if (o.arrival) {
-            arrivals.push_back(*o.arrival);
-            done = std::max(done, *o.arrival);
+        for (const graph::UserId f : contacts) {
+          const GroupTimeline& fg = groups.at(f);
+          const auto arrival = fetch_noted(fg, r.time);
+          if (arrival) {
+            if (budgetable) arrivals.push_back(*arrival);
+            done = std::max(done, *arrival);
           } else {
             reachable = false;
+            if (!run.resilient) break;
           }
           if (budgetable) {
             const auto ideal = arrival_within(fg.ideal.pieces(), r.time);
@@ -602,31 +567,33 @@ void serve_user(const RunContext& run, const GroupTable& groups,
               budgetable = false;
           }
         }
-        const SimTime budget = std::max(
-            ideal_done, r.time + std::max(p.deadline, run.config.slo));
+        std::optional<SimTime> budget;
+        if (budgetable)
+          budget = std::max(ideal_done,
+                            r.time + std::max(policy.deadline,
+                                              run.config.slo));
+        const Seconds fan_crypto =
+            crypto * static_cast<Seconds>(contacts.size());
         double coverage = -1.0;
-        if (reachable && done <= budget) {
+        if (reachable && (!budget || done <= *budget)) {
           latency = done - r.time + fan_crypto;
           coverage = 1.0;
-        } else if (budgetable) {
+        } else if (budget) {
           std::size_t kept = 0;
           for (const SimTime a : arrivals)
-            if (a <= budget) ++kept;
+            if (a <= *budget) ++kept;
           const double cov =
               contacts.empty() ? 1.0
                                : static_cast<double>(kept) /
                                      static_cast<double>(contacts.size());
-          if (cov >= p.feed_min_coverage) {
-            latency = budget - r.time + fan_crypto;
+          if (cov >= policy.feed_min_coverage) {
+            latency = *budget - r.time + fan_crypto;
             coverage = cov;
             ++load.res.degraded_feeds;
           } else if (reachable) {
             latency = done - r.time + fan_crypto;
             coverage = 1.0;
           }
-        } else if (reachable) {
-          latency = done - r.time + fan_crypto;
-          coverage = 1.0;
         }
         if (coverage >= 0.0) {
           load.res.feed_coverage_sum += coverage;
@@ -636,22 +603,14 @@ void serve_user(const RunContext& run, const GroupTable& groups,
       }
       case RequestKind::kPostWrite: {
         const std::size_t index = write_index++;
-        if (dht_regime) {
-          // A DHT put is durable once it reaches the first non-owner
-          // responsible node — the wait until the realized store surface
-          // next covers an instant. A ring too small to have one (the
-          // owner is the whole responsible set) stores locally.
-          latency = own.selection.empty()
-                        ? std::optional<Seconds>(0)
-                        : wait_within(own.store.pieces(), r.time);
-        } else if (run.relay_exists()) {
-          latency = wait_within(upload.pieces(), r.time);
-        } else if (!simulate_writes) {
-          latency = 0;  // single-node group: local durability
-        } else {
+        if (simulate_writes) {
           const auto arrival =
               net::first_non_origin_arrival(write_report.deliveries[index]);
           if (arrival) latency = *arrival - r.time;
+        } else if (durable) {
+          latency = wait_within(durable->pieces(), r.time);
+        } else {
+          latency = 0;  // local durability
         }
         if (latency)
           *latency += crypto * static_cast<Seconds>(1 + own.selection.size());
@@ -682,25 +641,26 @@ void serve_user(const RunContext& run, const GroupTable& groups,
     fnv_mix(load.digest,
             latency ? static_cast<std::uint64_t>(*latency) + 1 : 0);
   }
+}
 
-  metrics.requests.add(requests.size());
-  metrics.unserved.add(load.read.unserved + load.feed.unserved +
-                       load.write.unserved);
-  metrics.slo_misses.add(load.read.slo_misses + load.feed.slo_misses +
-                         load.write.slo_misses);
-  if (run.resilient) {
-    metrics.retries.add(load.res.retries);
-    metrics.hedges.add(load.res.hedges);
-    metrics.hedge_wins.add(load.res.hedge_wins);
-    metrics.stale_served.add(load.res.stale_served);
-    metrics.degraded_feeds.add(load.res.degraded_feeds);
-  }
-  if (run.regime != placement::StorageRegime::kReplicaGroup) {
-    metrics.dht_lookups.add(load.regime.lookups);
-    metrics.dht_lookup_hops.add(load.regime.lookup_hops);
-    metrics.dht_locality_hits.add(load.regime.locality_hits);
-    metrics.storekeepers.add(load.regime.storekeepers);
-  }
+/// Publishes the run's serving counters once, from the reduced report.
+void publish_counters(const ServingReport& report) {
+  obs::Registry& registry = obs::Registry::global();
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"serve.requests", report.requests},
+      {"serve.unserved", report.unserved},
+      {"serve.slo_misses", report.slo_misses},
+      {"serve.resilience.retries", report.resilience.retries},
+      {"serve.resilience.hedges", report.resilience.hedges},
+      {"serve.resilience.hedge_wins", report.resilience.hedge_wins},
+      {"serve.resilience.stale_served", report.resilience.stale_served},
+      {"serve.resilience.degraded_feeds", report.resilience.degraded_feeds},
+      {"net.social_dht.lookups", report.regime.lookups},
+      {"net.social_dht.lookup_hops", report.regime.lookup_hops},
+      {"net.social_dht.locality_hits", report.regime.locality_hits},
+      {"placement.super_peer.storekeepers", report.regime.storekeepers},
+  };
+  for (const auto& [name, value] : totals) registry.counter(name).add(value);
 }
 
 void merge_kind(KindStats& into, const KindStats& from) {
@@ -747,7 +707,7 @@ void validate(const ResiliencePolicy& policy) {
   }
   if (policy.deadline < 0)
     throw ConfigError("resilience: deadline must be >= 0");
-  if (policy.feed_min_coverage < 0.0 || policy.feed_min_coverage > 1.0)
+  if (!(policy.feed_min_coverage >= 0.0 && policy.feed_min_coverage <= 1.0))
     throw ConfigError("resilience: feed_min_coverage must be in [0, 1]");
 }
 
@@ -810,7 +770,6 @@ ServingReport run_serving_study(const trace::Dataset& dataset,
                            config.faults.scenario.flash_crowds.end(),
                            [](const net::FlashCrowd& c) { return c.active(); }),
       .relay_outages = {},
-      .regime = config.regime,
       .dht = dht ? &*dht : nullptr,
       .directory = directory ? &*directory : nullptr,
       .churn = churn ? &*churn : nullptr,
@@ -859,6 +818,7 @@ ServingReport run_serving_study(const trace::Dataset& dataset,
   report.slo_misses = report.read.slo_misses + report.feed.slo_misses +
                       report.write.slo_misses;
   report.served = report.requests - report.unserved;
+  publish_counters(report);
   return report;
 }
 

@@ -1,6 +1,7 @@
 #include "serve/workload.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 
 #include "interval/day_schedule.hpp"
@@ -54,10 +55,13 @@ std::string_view to_string(RequestKind kind) {
 }
 
 void validate(const WorkloadConfig& config) {
-  if (config.requests_per_user_per_day <= 0.0)
-    throw ConfigError("workload: requests_per_user_per_day must be > 0");
-  if (config.read_fraction < 0.0 || config.feed_fraction < 0.0 ||
-      config.read_fraction + config.feed_fraction > 1.0)
+  // Positive-form checks: NaN fails every comparison, so it is rejected.
+  if (!(std::isfinite(config.requests_per_user_per_day) &&
+        config.requests_per_user_per_day > 0.0))
+    throw ConfigError(
+        "workload: requests_per_user_per_day must be finite and > 0");
+  if (!(config.read_fraction >= 0.0 && config.feed_fraction >= 0.0 &&
+        config.read_fraction + config.feed_fraction <= 1.0))
     throw ConfigError("workload: request mix fractions out of range");
   if (config.horizon_days <= 0)
     throw ConfigError("workload: horizon_days must be > 0");

@@ -5,6 +5,7 @@
 // enforcement.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <string>
 #include <vector>
@@ -559,6 +560,13 @@ TEST(RegimeContracts, SuperPeerConfigBoundsFire) {
   config.target_availability = -0.1;
   EXPECT_THROW(placement::validate(config), ConfigError);
   config.target_availability = 1.1;
+  EXPECT_THROW(placement::validate(config), ConfigError);
+  // NaN fails every comparison; the bounds must still reject it.
+  config = {};
+  config.volunteer_threshold = std::nan("");
+  EXPECT_THROW(placement::validate(config), ConfigError);
+  config = {};
+  config.target_availability = std::nan("");
   EXPECT_THROW(placement::validate(config), ConfigError);
   config = {};
   config.max_storekeepers = 65;

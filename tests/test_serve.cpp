@@ -1,14 +1,20 @@
 // Tests for the request-level serving layer: histogram quantile contract
 // against a sorted-vector oracle, workload determinism, serving semantics
 // against hand-computed waits, bit-identity across thread counts and
-// observability settings, one realization per referenced profile, and
-// exact SLO-miss monotonicity under nested fault intensities.
+// observability settings, one realization per referenced profile,
+// exact SLO-miss monotonicity under nested fault intensities, and a
+// golden grid pinning the request log and effort counters of every
+// regime x resilience-policy cell.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -150,6 +156,21 @@ TEST(WorkloadTest, ValidateRejectsBadKnobs) {
   config = {};
   config.horizon_days = 0;
   EXPECT_THROW(validate(config), ConfigError);
+  // NaN fails every comparison and +inf stalls the arrival clock; both
+  // must be rejected up front (validate only: an infinite rate never
+  // finishes generating).
+  for (const double bad :
+       {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    config = {};
+    config.requests_per_user_per_day = bad;
+    EXPECT_THROW(validate(config), ConfigError) << bad;
+    config = {};
+    config.read_fraction = bad;
+    EXPECT_THROW(validate(config), ConfigError) << bad;
+    config = {};
+    config.feed_fraction = bad;
+    EXPECT_THROW(validate(config), ConfigError) << bad;
+  }
 }
 
 // ------------------------------------------------------ serving semantics
@@ -315,6 +336,14 @@ TEST(ServingTest, ValidateRejectsBadConfig) {
   config = {};
   const std::vector<DaySchedule> wrong(1);
   EXPECT_THROW(run_serving_study(d, wrong, cohort, 1, config), ConfigError);
+  // NaN knobs fail every comparison; validate must still reject them.
+  config = {};
+  config.resilience.feed_min_coverage = std::nan("");
+  EXPECT_THROW(validate(config), ConfigError);
+  config = {};
+  config.workload.requests_per_user_per_day =
+      std::numeric_limits<double>::infinity();
+  EXPECT_THROW(validate(config), ConfigError);
 }
 
 // --------------------------------------------- determinism at small scale
@@ -600,6 +629,218 @@ TEST(ResilienceTest, DegradedFeedsReportPartialCoverage) {
   EXPECT_GT(report.resilience.feed_coverage_count, 0u);
   EXPECT_LE(report.resilience.feed_coverage_mean(), 1.0);
   EXPECT_GT(report.resilience.feed_coverage_mean(), 0.0);
+}
+
+// --------------------------------------------------------------- golden
+
+/// One cell of the golden grid: the request-log checksum plus every
+/// integer field of ResilienceStats and RegimeStats. The checksum alone
+/// cannot show where a resilient feed stops fetching friends; the retry
+/// and hedge totals do.
+struct GoldenCell {
+  const char* name;
+  std::uint64_t checksum;
+  // retries, hedges, hedge_wins, stale_served, degraded_feeds,
+  // feed_coverage_count
+  std::array<std::uint64_t, 6> resilience;
+  // groups, replica_holders, storekeepers, online_seconds, lookups,
+  // lookup_hops, locality_hits
+  std::array<std::uint64_t, 7> regime;
+};
+
+struct GoldenCase {
+  std::string name;
+  ServingConfig config;
+};
+
+struct NamedPolicy {
+  const char* name;
+  ResiliencePolicy policy;
+};
+
+std::vector<NamedPolicy> golden_policies() {
+  ResiliencePolicy degrade;
+  degrade.degrade_feeds = true;
+  ResiliencePolicy hedged;
+  hedged.hedged_reads = true;
+  return {{"naive", {}},
+          {"full", full_resilience()},
+          {"degrade", degrade},
+          {"hedged", hedged}};
+}
+
+/// kReplicaGroup: {ConRep, UnconRep} x {zero plan, composite churn} x
+/// {naive, full, degrade_feeds only, hedged_reads only}.
+std::vector<GoldenCase> replica_group_cases() {
+  std::vector<GoldenCase> cases;
+  for (const auto connectivity :
+       {placement::Connectivity::kConRep, placement::Connectivity::kUnconRep})
+    for (const bool churn : {false, true})
+      for (const auto& p : golden_policies()) {
+        auto config = composite_config();
+        if (!churn) config.faults = {};
+        config.connectivity = connectivity;
+        config.resilience = p.policy;
+        cases.push_back(
+            {std::string(connectivity == placement::Connectivity::kConRep
+                             ? "conrep"
+                             : "unconrep") +
+                 (churn ? "_churn_" : "_zero_") + p.name,
+             config});
+      }
+  return cases;
+}
+
+/// Plain DHT, social DHT and super-peer under ConRep: {zero plan,
+/// small_config churn} x {naive, full}.
+std::vector<GoldenCase> storage_regime_cases() {
+  struct Regime {
+    const char* name;
+    placement::StorageRegime regime;
+    bool socially_aware;
+  };
+  const Regime regimes[] = {
+      {"plain_dht", placement::StorageRegime::kSocialDht, false},
+      {"social_dht", placement::StorageRegime::kSocialDht, true},
+      {"super_peer", placement::StorageRegime::kSuperPeer, true}};
+  const auto policies = golden_policies();
+  std::vector<GoldenCase> cases;
+  for (const Regime& regime : regimes)
+    for (const bool churn : {false, true})
+      for (const auto& p : std::span(policies).first(2)) {
+        auto config = small_config();
+        if (!churn) config.faults = {};
+        config.regime = regime.regime;
+        config.resilience = p.policy;
+        config.social_dht.replication = 3;
+        config.social_dht.hop_cost = 5;
+        config.social_dht.socially_aware = regime.socially_aware;
+        config.super_peer.volunteer_threshold = 0.05;
+        config.super_peer.target_availability = 0.7;
+        cases.push_back({std::string(regime.name) +
+                             (churn ? "_churn_" : "_zero_") + p.name,
+                         config});
+      }
+  return cases;
+}
+
+void expect_golden(std::span<const GoldenCase> cases,
+                   std::span<const GoldenCell> cells) {
+  const auto input = small_input();
+  ASSERT_EQ(cases.size(), cells.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const GoldenCell& want = cells[i];
+    ASSERT_EQ(cases[i].name, want.name);
+    const auto r = run_serving_study(input.dataset, input.schedules,
+                                     input.cohort, 11, cases[i].config);
+    const ResilienceStats& res = r.resilience;
+    const RegimeStats& reg = r.regime;
+    const std::array<std::uint64_t, 6> got_res{
+        res.retries,      res.hedges,         res.hedge_wins,
+        res.stale_served, res.degraded_feeds, res.feed_coverage_count};
+    const std::array<std::uint64_t, 7> got_reg{
+        reg.groups,  reg.replica_holders, reg.storekeepers, reg.online_seconds,
+        reg.lookups, reg.lookup_hops,     reg.locality_hits};
+    EXPECT_EQ(r.request_log_checksum, want.checksum) << want.name;
+    EXPECT_EQ(got_res, want.resilience) << want.name;
+    EXPECT_EQ(got_reg, want.regime) << want.name;
+  }
+}
+
+TEST(ServingGolden, ReplicaGroupGrid) {
+  static constexpr GoldenCell kCells[] = {
+      {"conrep_zero_naive", 16833885649032020156ULL,
+       {0, 0, 0, 0, 0, 173},
+       {24, 72, 0, 7948703, 0, 0, 0}},
+      {"conrep_zero_full", 16833885649032020156ULL,
+       {1572, 501, 0, 0, 0, 173},
+       {24, 72, 0, 7948703, 0, 0, 0}},
+      {"conrep_zero_degrade", 16833885649032020156ULL,
+       {1572, 0, 0, 0, 0, 173},
+       {24, 72, 0, 7948703, 0, 0, 0}},
+      {"conrep_zero_hedged", 16833885649032020156ULL,
+       {1572, 501, 0, 0, 0, 173},
+       {24, 72, 0, 7948703, 0, 0, 0}},
+      {"conrep_churn_naive", 15122330433636683981ULL,
+       {0, 0, 0, 0, 0, 257},
+       {24, 72, 0, 3836465, 0, 0, 0}},
+      {"conrep_churn_full", 2278808565848835688ULL,
+       {4805, 1842, 1082, 388, 36, 259},
+       {24, 72, 0, 3836465, 0, 0, 0}},
+      {"conrep_churn_degrade", 4906853666094637121ULL,
+       {5584, 0, 0, 0, 152, 259},
+       {24, 72, 0, 3836465, 0, 0, 0}},
+      {"conrep_churn_hedged", 3476939540082818205ULL,
+       {4805, 1842, 1294, 0, 0, 259},
+       {24, 72, 0, 3836465, 0, 0, 0}},
+      {"unconrep_zero_naive", 2412375256616140082ULL,
+       {0, 0, 0, 0, 0, 177},
+       {24, 72, 0, 7965531, 0, 0, 0}},
+      {"unconrep_zero_full", 2412375256616140082ULL,
+       {0, 0, 0, 0, 0, 177},
+       {24, 72, 0, 7965531, 0, 0, 0}},
+      {"unconrep_zero_degrade", 2412375256616140082ULL,
+       {0, 0, 0, 0, 0, 177},
+       {24, 72, 0, 7965531, 0, 0, 0}},
+      {"unconrep_zero_hedged", 2412375256616140082ULL,
+       {0, 0, 0, 0, 0, 177},
+       {24, 72, 0, 7965531, 0, 0, 0}},
+      {"unconrep_churn_naive", 10995805285133075957ULL,
+       {0, 0, 0, 0, 0, 263},
+       {24, 72, 0, 3879028, 0, 0, 0}},
+      {"unconrep_churn_full", 11611341317540662164ULL,
+       {1734, 649, 338, 155, 12, 263},
+       {24, 72, 0, 3879028, 0, 0, 0}},
+      {"unconrep_churn_degrade", 18270581399085884166ULL,
+       {1972, 0, 0, 0, 68, 263},
+       {24, 72, 0, 3879028, 0, 0, 0}},
+      {"unconrep_churn_hedged", 10402669198819205085ULL,
+       {1734, 649, 400, 0, 0, 263},
+       {24, 72, 0, 3879028, 0, 0, 0}},
+  };
+  expect_golden(replica_group_cases(), kCells);
+}
+
+TEST(ServingGolden, StorageRegimeGrid) {
+  static constexpr GoldenCell kCells[] = {
+      {"plain_dht_zero_naive", 9805829087959849818ULL,
+       {0, 0, 0, 0, 0, 166},
+       {24, 72, 0, 4296866, 1826, 9433, 16}},
+      {"plain_dht_zero_full", 9805829087959849818ULL,
+       {3558, 1160, 0, 0, 0, 166},
+       {24, 72, 0, 4296866, 1826, 9433, 16}},
+      {"plain_dht_churn_naive", 12444232086462883617ULL,
+       {0, 0, 0, 0, 0, 165},
+       {24, 72, 0, 2819286, 1826, 9433, 16}},
+      {"plain_dht_churn_full", 3763086306759323500ULL,
+       {4035, 1373, 369, 189, 15, 166},
+       {24, 72, 0, 2819286, 1826, 9433, 16}},
+      {"social_dht_zero_naive", 7750672892755861965ULL,
+       {0, 0, 0, 0, 0, 163},
+       {24, 72, 0, 4291980, 1826, 8079, 258}},
+      {"social_dht_zero_full", 7750672892755861965ULL,
+       {3667, 1192, 0, 0, 0, 163},
+       {24, 72, 0, 4291980, 1826, 8079, 258}},
+      {"social_dht_churn_naive", 12310276447160281015ULL,
+       {0, 0, 0, 0, 0, 163},
+       {24, 72, 0, 2812111, 1826, 8079, 258}},
+      {"social_dht_churn_full", 471312739688312786ULL,
+       {4120, 1395, 306, 217, 20, 163},
+       {24, 72, 0, 2812111, 1826, 8079, 258}},
+      {"super_peer_zero_naive", 15635853211066610118ULL,
+       {0, 0, 0, 0, 0, 175},
+       {24, 190, 118, 10156069, 0, 0, 0}},
+      {"super_peer_zero_full", 15635853211066610118ULL,
+       {1084, 335, 0, 0, 0, 175},
+       {24, 190, 118, 10156069, 0, 0, 0}},
+      {"super_peer_churn_naive", 5970320494152447861ULL,
+       {0, 0, 0, 0, 0, 173},
+       {24, 190, 118, 7638418, 0, 0, 0}},
+      {"super_peer_churn_full", 16918474156519730204ULL,
+       {1925, 685, 274, 152, 9, 175},
+       {24, 190, 118, 7638418, 0, 0, 0}},
+  };
+  expect_golden(storage_regime_cases(), kCells);
 }
 
 TEST(ServingTest, ServedUsersTruncatesTheCohort) {

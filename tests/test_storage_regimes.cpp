@@ -362,6 +362,61 @@ TEST(SocialDhtServingTest, PairMatchesHandComputedWaits) {
   }
 }
 
+TEST(SocialDhtServingTest, ReplicationOneOwnerWritesLocally) {
+  // Replication 1 on the two-node ring: user 0's key lands on node 0, so
+  // the owner is the whole responsible set and a put has no non-owner
+  // node to reach — every write of user 0 is durable locally at one
+  // crypto op. Its reads wait on user 1's group, which is user 1 plus
+  // the responsible node 0.
+  const auto d = pair_dataset();
+  const std::vector<DaySchedule> schedules{window(8, 10), window(12, 16)};
+  const std::vector<graph::UserId> cohort{0};
+  ServingConfig config;
+  config.regime = placement::StorageRegime::kSocialDht;
+  config.social_dht.replication = 1;
+  config.social_dht.hop_cost = 7;
+  config.crypto_op_cost = 3;
+  config.workload.horizon_days = 3;
+
+  const SocialDht dht(d.graph, config.social_dht);
+  ASSERT_EQ(dht.responsible_nodes(0), std::vector<graph::UserId>{0});
+  ASSERT_EQ(dht.responsible_nodes(1), std::vector<graph::UserId>{0});
+  const Seconds tax = 7 * static_cast<Seconds>(dht.lookup_from(0, 1).hops);
+  const auto both = absolute(schedules[0], 3).unite(absolute(schedules[1], 3));
+  std::uint64_t total_writes = 0;
+  for (const std::uint64_t seed : {5u, 17u, 42u}) {
+    const auto report =
+        run_serving_study(d, schedules, cohort, seed, config);
+
+    std::uint64_t writes = 0, fetches = 0, fetch_unserved = 0;
+    Seconds fetch_latency_sum = 0;
+    for (const auto& r : serve::user_requests(config.workload, seed, 0, 1)) {
+      if (r.kind == serve::RequestKind::kPostWrite) {
+        ++writes;
+        continue;
+      }
+      ++fetches;
+      if (const auto next = both.next_at_or_after(r.time))
+        fetch_latency_sum += *next - r.time + 3 + tax;
+      else
+        ++fetch_unserved;
+    }
+    total_writes += writes;
+    EXPECT_EQ(report.write.requests, writes) << "seed " << seed;
+    EXPECT_EQ(report.write.unserved, 0u) << "seed " << seed;
+    EXPECT_EQ(report.write.slo_misses, 0u) << "seed " << seed;
+    EXPECT_EQ(report.write.latency.sum(), 3 * static_cast<Seconds>(writes))
+        << "seed " << seed;
+    EXPECT_EQ(report.read.requests + report.feed.requests, fetches);
+    EXPECT_EQ(report.read.unserved + report.feed.unserved, fetch_unserved);
+    EXPECT_EQ(report.read.latency.sum() + report.feed.latency.sum(),
+              fetch_latency_sum)
+        << "seed " << seed;
+    EXPECT_EQ(report.regime.replica_holders, 0u);
+  }
+  EXPECT_GT(total_writes, 0u);
+}
+
 // ----------------------------------- serving-level: regime differentials
 
 synth::ScaleStudyInput small_input() {
