@@ -6,7 +6,6 @@
 
 #include "interval/day_schedule.hpp"
 #include "interval/interval_set.hpp"
-#include "net/replica_sim.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -227,6 +226,7 @@ struct RunContext {
 
     net::FaultInjector injector(plan_for(user));
     g.online = union_sessions(injector, members, days);
+    injector.flush_stats();  // net.fault.*: once per realized group
 
     if (resilient) {
       // Advertised (unfaulted) surfaces for the resilience paths, built
@@ -423,52 +423,35 @@ void serve_user(const RunContext& run, const GroupTable& groups,
   load.regime.online_seconds +=
       static_cast<std::uint64_t>(own.online.measure());
 
-  // Write durability, decided once per user. Under ConRep a replica
-  // group's writes run through the event-driven replica simulator: the
-  // write requests become UpdateSpecs (origin 0 = the owner) and a write
-  // is durable at the realized anti-entropy arrival at the first
-  // non-origin replica, under the same per-user fault plan the read path
-  // realizes its sessions from. Otherwise a write is durable once a
-  // realized `durable` surface next covers an instant: the non-owner
-  // responsible nodes under kSocialDht (a DHT put), the owner online
-  // while the relay is up under UnconRep (the upload to the persistent
-  // store). With neither, the owner alone holds the profile and the
-  // write is durable locally.
-  std::vector<net::UpdateSpec> writes;
-  for (const auto& r : requests)
-    if (r.kind == RequestKind::kPostWrite)
-      writes.push_back({r.time, 0});
-  const bool simulate_writes =
-      !writes.empty() && !own.selection.empty() && !dht_regime &&
-      run.config.connectivity == placement::Connectivity::kConRep;
-  net::ReplicaSimReport write_report;
+  // Write durability, decided once per user: a write is durable once a
+  // realized `durable` surface next covers an instant. Under kSocialDht
+  // that is the non-owner responsible nodes (a DHT put); under UnconRep
+  // the owner online while the relay is up (the upload to the persistent
+  // store); under ConRep the owner online together with a replica — an
+  // update crosses only between simultaneously online members, so the
+  // first such instant is its first arrival beyond the owner (DESIGN.md
+  // §14). Node ids are the fault-stream ids realize_group uses (owner 0,
+  // then the selection); storekeepers widen reads only. With no surface
+  // the owner alone holds the profile and the write is durable locally.
   std::optional<IntervalSet> durable;
-  const int days = run.config.workload.horizon_days;
-  if (simulate_writes) {
-    std::vector<DaySchedule> nodes;
-    nodes.reserve(own.selection.size() + 1);
-    nodes.push_back(run.schedules[user]);
-    for (const auto holder : own.selection)
-      nodes.push_back(run.schedules[holder]);
-    net::ReplicaSimConfig sim_config;
-    sim_config.connectivity = run.config.connectivity;
-    sim_config.horizon_days = days;
-    sim_config.faults = run.plan_for(user);
-    write_report = net::simulate_replica_group(nodes, writes, sim_config);
-  } else if (!writes.empty() &&
-             (dht_regime ? !own.selection.empty() : run.relay_exists())) {
-    // Fault-stream node ids as realize_group numbers them (owner 0, then
-    // the selection); relay_outages is empty outside UnconRep.
-    std::vector<Member> holders;
-    if (dht_regime) {
-      for (const graph::UserId v : own.selection)
-        holders.push_back({holders.size() + 1, &run.schedules[v]});
-    } else {
-      holders.push_back({0, &run.schedules[user]});
-    }
+  const bool writes = std::any_of(
+      requests.begin(), requests.end(),
+      [](const Request& r) { return r.kind == RequestKind::kPostWrite; });
+  if (writes && (run.relay_exists() || !own.selection.empty())) {
+    const int days = run.config.workload.horizon_days;
+    const Member owner{0, &run.schedules[user]};
+    std::vector<Member> replicas;
+    for (const graph::UserId v : own.selection)
+      replicas.push_back({replicas.size() + 1, &run.schedules[v]});
     net::FaultInjector injector(run.plan_for(user));
-    durable = union_sessions(injector, holders, days)
-                  .subtract(run.relay_outages);
+    if (dht_regime)
+      durable = union_sessions(injector, replicas, days);
+    else if (run.relay_exists())
+      durable = union_sessions(injector, {&owner, 1}, days)
+                    .subtract(run.relay_outages);
+    else
+      durable = union_sessions(injector, {&owner, 1}, days)
+                    .intersect(union_sessions(injector, replicas, days));
   }
 
   ServeMetrics& metrics = serve_metrics();
@@ -484,7 +467,6 @@ void serve_user(const RunContext& run, const GroupTable& groups,
   };
   std::vector<SimTime> arrivals;  // feed scratch, reused across requests
   std::vector<graph::UserId> feed_owners;  // DHT fan-in scratch
-  std::size_t write_index = 0;
   for (const auto& r : requests) {
     std::optional<Seconds> latency;
     // Extra wait the storage regime itself charges this request (DHT
@@ -602,16 +584,10 @@ void serve_user(const RunContext& run, const GroupTable& groups,
         break;
       }
       case RequestKind::kPostWrite: {
-        const std::size_t index = write_index++;
-        if (simulate_writes) {
-          const auto arrival =
-              net::first_non_origin_arrival(write_report.deliveries[index]);
-          if (arrival) latency = *arrival - r.time;
-        } else if (durable) {
+        if (durable)
           latency = wait_within(durable->pieces(), r.time);
-        } else {
+        else
           latency = 0;  // local durability
-        }
         if (latency)
           *latency += crypto * static_cast<Seconds>(1 + own.selection.size());
         break;

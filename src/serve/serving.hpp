@@ -15,14 +15,16 @@
 //   * feed assembly — fan-in: the max of the per-friend profile-read
 //     waits over all contacts (the feed completes with the slowest
 //     fetch); unreachable within the horizon => the request is unserved.
-//   * post write — durability latency. Under ConRep the write is injected
-//     into net::simulate_replica_group as an UpdateSpec and the latency
-//     is the earliest arrival at a non-origin replica (anti-entropy
-//     durability, realized by the event-driven simulator under the same
-//     fault realization as the read path). Under UnconRep it is the wait
-//     until the owner is next online while the relay is up (upload to the
-//     persistent store). A single-node group writes locally (latency 0)
-//     under ConRep.
+//   * post write — durability latency: the wait until a realized
+//     *durable surface* next covers an instant, under the same fault
+//     realization as the read path. Under ConRep the surface is the owner
+//     online together with any selected replica: anti-entropy moves an
+//     update only between simultaneously online members, so that is the
+//     write's earliest arrival at a non-origin replica (the instant
+//     net::simulate_replica_group would report; DESIGN.md §14). Under
+//     UnconRep it is the owner online while the relay is up (upload to
+//     the persistent store). A single-node group writes locally
+//     (latency 0) under ConRep.
 //
 // A DECENT-style crypto-cost knob taxes every object operation: reads add
 // one op, feeds one per friend profile, writes 1 + |selection| ops

@@ -4,13 +4,16 @@
 // exactly on randomized groups that stress the ordering rules (equal-time
 // transitions, midnight-adjacent sessions, equal-time updates), the bitset
 // word boundaries (63/64/65/130 updates), relay outages, node failures and
-// session churn.
+// session churn. One more differential pins the closed form the serving
+// layer uses for ConRep write durability to the simulator's deliveries.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "interval/interval_set.hpp"
 #include "net/replica_sim.hpp"
+#include "net/scenario.hpp"
 #include "replica_sim_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -18,6 +21,7 @@ namespace dosn::net {
 namespace {
 
 using interval::Interval;
+using interval::IntervalSet;
 using interval::kDaySeconds;
 
 /// Times snap to this grid so equal-time events across nodes, updates and
@@ -265,6 +269,59 @@ TEST(ReplicaSimOracle, EverythingAtOnce) {
     const auto updates = random_updates(rng, n, count, g.cfg.horizon_days);
     check(g.nodes, updates, g.cfg, "trial " + std::to_string(trial));
   }
+}
+
+TEST(ReplicaSimOracle, ConRepWriteDurabilityIsOwnerMeetsReplica) {
+  // Under ConRep an update crosses between two nodes only at an instant
+  // both are online, so an owner-originated (node 0) write first reaches
+  // another node at the first instant at or after it that the owner
+  // meets any other member: (owner ∩ ∪others).next_at_or_after(t), with
+  // the sessions the fault injector realizes. Serving computes write
+  // durability from that closed form instead of running the simulator.
+  util::Rng rng(0x5eed0007);
+  const ScenarioSpec scenario = parse_scenario(
+      "regional_outage regions=2 region=1 start=86400 end=216000 "
+      "participation=0.8\n"
+      "churn_burst start=43200 end=302400 no_show=0.6 participation=0.7\n");
+  std::size_t writes = 0;
+  std::size_t delivered = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(12);
+    Group g = random_group(rng, n, Connectivity::kConRep);
+    const int days = g.cfg.horizon_days;
+    if (rng.chance(0.7)) g.cfg.faults = churned_plan(rng);
+    if (rng.chance(0.3))  // inert under ConRep
+      g.cfg.faults.relay_outages = random_relay_outages(rng, days);
+    if (rng.chance(0.5))
+      for (const NodeFailure& f : random_failures(rng, n, days))
+        g.cfg.faults.node_outages.push_back({f.node, f.at, f.recover_at});
+    if (rng.chance(0.4)) g.cfg.faults.scenario = scenario;
+
+    auto updates = random_updates(
+        rng, n, kUpdateCounts[rng.below(std::size(kUpdateCounts))], days);
+    for (UpdateSpec& u : updates) u.origin = 0;
+    const auto report = simulate_replica_group(g.nodes, updates, g.cfg);
+
+    FaultInjector injector(g.cfg.faults);
+    const IntervalSet owner(injector.sessions(0, g.nodes[0], days));
+    std::vector<Interval> others;
+    for (std::size_t i = 1; i < n; ++i) {
+      const auto s = injector.sessions(i, g.nodes[i], days);
+      others.insert(others.end(), s.begin(), s.end());
+    }
+    const IntervalSet meet = owner.intersect(IntervalSet(std::move(others)));
+
+    for (std::size_t u = 0; u < updates.size(); ++u) {
+      const auto arrival = first_non_origin_arrival(report.deliveries[u]);
+      EXPECT_EQ(arrival, meet.next_at_or_after(updates[u].time))
+          << "trial " << trial << " update " << u;
+      ++writes;
+      if (arrival) ++delivered;
+    }
+  }
+  // The grid must exercise both outcomes.
+  EXPECT_GT(delivered, 0u);
+  EXPECT_LT(delivered, writes);
 }
 
 }  // namespace

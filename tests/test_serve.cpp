@@ -1,8 +1,10 @@
 // Tests for the request-level serving layer: histogram quantile contract
 // against a sorted-vector oracle, workload determinism, serving semantics
-// against hand-computed waits, bit-identity across thread counts and
-// observability settings, one realization per referenced profile,
-// exact SLO-miss monotonicity under nested fault intensities, and a
+// against hand-computed waits (ConRep replica writes included), bit-
+// identity across thread counts and observability settings, one
+// realization per referenced profile, fault counters published per
+// realized group, exact SLO-miss monotonicity under nested fault
+// intensities, and a
 // golden grid pinning the request log and effort counters of every
 // regime x resilience-policy cell.
 #include <gtest/gtest.h>
@@ -323,6 +325,48 @@ TEST(ServingTest, RelayOutageDelaysUnconRepReads) {
   EXPECT_GT(report.read.latency.sum() + report.feed.latency.sum(), 0);
 }
 
+TEST(ServingTest, ConRepReplicaWriteWaitsForOwnerToMeetReplica) {
+  // One replica each way: each user's only contact is its only candidate,
+  // and the 10:00-11:00 overlap makes the pair ConRep-connected. A write
+  // is durable at the next instant owner and replica are online together
+  // — [10:00, 11:00) every day, for both users — and pays 1 + |selection|
+  // = 2 crypto ops.
+  const auto d = pair_dataset();
+  const std::vector<DaySchedule> schedules{window(8, 11), window(10, 16)};
+  const std::vector<graph::UserId> cohort{0, 1};
+  ServingConfig config;
+  config.replicas = 1;
+  config.crypto_op_cost = 7;
+  config.workload.horizon_days = 3;
+  const auto meet = absolute(window(10, 11), config.workload.horizon_days);
+
+  std::uint64_t total_writes = 0;
+  std::uint64_t total_unserved = 0;
+  for (const std::uint64_t seed : {5u, 17u, 23u, 42u}) {
+    std::uint64_t writes = 0;
+    std::uint64_t unserved = 0;
+    Seconds latency_sum = 0;
+    for (graph::UserId u : {0u, 1u}) {
+      for (const auto& r : user_requests(config.workload, seed, u, 1)) {
+        if (r.kind != RequestKind::kPostWrite) continue;
+        ++writes;
+        if (const auto next = meet.next_at_or_after(r.time))
+          latency_sum += *next - r.time + 2 * config.crypto_op_cost;
+        else
+          ++unserved;
+      }
+    }
+    const auto report = run_serving_study(d, schedules, cohort, seed, config);
+    EXPECT_EQ(report.regime.replica_holders, 2u) << "seed " << seed;
+    EXPECT_EQ(report.write.requests, writes) << "seed " << seed;
+    EXPECT_EQ(report.write.unserved, unserved) << "seed " << seed;
+    EXPECT_EQ(report.write.latency.sum(), latency_sum) << "seed " << seed;
+    total_writes += writes;
+    total_unserved += unserved;
+  }
+  EXPECT_GT(total_writes, total_unserved);
+}
+
 TEST(ServingTest, ValidateRejectsBadConfig) {
   const auto d = pair_dataset();
   const std::vector<DaySchedule> schedules{window(8, 10), window(12, 16)};
@@ -487,6 +531,60 @@ TEST(ServingTest, SloMissesMonotoneUnderScaledFaults) {
     prev_unserved = report.unserved;
   }
   EXPECT_GT(prev_misses, 0u);
+}
+
+TEST(ServingTest, NodeOutageBeyondGroupSize) {
+  // Node outages index a realized group's members (owner 0, then the
+  // selection). An index past every group's size names nobody: reads and
+  // writes alike ignore it, so the run equals the run without it.
+  const auto input = small_input();
+  const auto base = run_serving_study(input.dataset, input.schedules,
+                                      input.cohort, 11, small_config());
+  auto beyond = small_config();
+  beyond.faults.node_outages.push_back({7, kDaySeconds, 2 * kDaySeconds});
+  EXPECT_EQ(run_serving_study(input.dataset, input.schedules, input.cohort,
+                              11, beyond),
+            base);
+
+  // An in-range outage takes every group's first replica down for a day.
+  auto in_range = small_config();
+  in_range.faults.node_outages.push_back({1, kDaySeconds, 2 * kDaySeconds});
+  const auto serial = run_serving_study(input.dataset, input.schedules,
+                                        input.cohort, 11, in_range);
+  EXPECT_NE(serial.request_log_checksum, base.request_log_checksum);
+  util::ThreadPool pool(4);
+  EXPECT_EQ(run_serving_study(input.dataset, input.schedules, input.cohort,
+                              11, in_range, &pool),
+            serial);
+}
+
+TEST(ServingTest, PublishesFaultCountersPerRealizedGroup) {
+  const auto input = small_input();
+  const char* const names[] = {
+      "net.fault.messages_dropped", "net.fault.jitter_applied",
+      "net.fault.sessions_skipped", "net.fault.sessions_truncated",
+      "net.fault.outage_cuts",      "net.fault.relay_blocked",
+      "net.fault.scenario_windows"};
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto totals = [&](std::size_t threads) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : names)
+      before.push_back(obs::Registry::global().counter(name).value());
+    util::ThreadPool pool(threads);
+    run_serving_study(input.dataset, input.schedules, input.cohort, 11,
+                      small_config(), &pool);
+    std::vector<std::uint64_t> added;
+    for (std::size_t i = 0; i < std::size(names); ++i)
+      added.push_back(obs::Registry::global().counter(names[i]).value() -
+                      before[i]);
+    return added;
+  };
+  const auto serial = totals(1);
+  EXPECT_EQ(totals(4), serial);
+  EXPECT_GT(serial[2], 0u);  // sessions_skipped
+  EXPECT_GT(serial[3], 0u);  // sessions_truncated
+  obs::set_enabled(was_enabled);
 }
 
 // ------------------------------------------------------------ resilience
