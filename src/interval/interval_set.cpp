@@ -5,6 +5,7 @@
 
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/merge_runs.hpp"
 
 namespace dosn::interval {
 
@@ -272,6 +273,43 @@ void IntervalSet::normalize() {
   }
   intervals_.resize(last + 1);
   intervals_.shrink_to_fit();
+}
+
+IntervalSet SortedRunUnion::build() {
+  DOSN_CHECK(bounds_.back() <= pieces_.size(),
+             "SortedRunUnion: pieces removed after their run was closed");
+  if (bounds_.back() < pieces_.size()) end_run();
+  for (std::size_t r = 0; r + 1 < bounds_.size(); ++r)
+    for (std::size_t i = bounds_[r]; i < bounds_[r + 1]; ++i) {
+      DOSN_CHECK(pieces_[i].start < pieces_[i].end,
+                 "SortedRunUnion: empty piece [", pieces_[i].start, ",",
+                 pieces_[i].end, ") in run ", r);
+      DOSN_CHECK(i == bounds_[r] || pieces_[i - 1].start <= pieces_[i].start,
+                 "SortedRunUnion: run ", r, " not sorted at piece ", i);
+    }
+  util::merge_runs(pieces_, bounds_, scratch_,
+                   [](const Interval& a, const Interval& b) {
+                     return a.start < b.start;
+                   });
+  // The same merge-and-compact pass as normalize(), then one exact-size
+  // copy out: the buffer keeps its capacity for the next build.
+  IntervalSet out;
+  if (!pieces_.empty()) {
+    std::size_t last = 0;
+    for (std::size_t i = 1; i < pieces_.size(); ++i) {
+      if (pieces_[i].start <= pieces_[last].end)
+        pieces_[last].end = std::max(pieces_[last].end, pieces_[i].end);
+      else
+        pieces_[++last] = pieces_[i];
+    }
+    out.intervals_.assign(pieces_.begin(),
+                          pieces_.begin() + static_cast<std::ptrdiff_t>(last + 1));
+  }
+  pieces_.clear();
+  bounds_.resize(1);
+  DOSN_DCHECK(out.is_canonical(), "SortedRunUnion postcondition: ",
+              out.to_string());
+  return out;
 }
 
 IntervalSet operator|(const IntervalSet& a, const IntervalSet& b) {

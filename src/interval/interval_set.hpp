@@ -117,9 +117,39 @@ class IntervalSet {
   std::string to_string() const;
 
  private:
+  friend class SortedRunUnion;
+
   void normalize();
 
   std::vector<Interval> intervals_;
+};
+
+/// Builds canonical IntervalSets from consecutive sorted runs: the shape
+/// of a group union, one day-major session run per member (DESIGN.md
+/// §14). Pieces are appended run by run into one reused buffer; build()
+/// merges the runs bottom-up (util::merge_runs, O(n log runs)) and
+/// compacts them in one linear pass. Exactly `IntervalSet(pieces)` for
+/// the same pieces, and a warmed builder allocates only the result's
+/// exact-size piece vector.
+class SortedRunUnion {
+ public:
+  /// The append buffer. Pieces appended since the last end_run() (or
+  /// build()) form the current run, which must be sorted by start.
+  std::vector<Interval>& pieces() { return pieces_; }
+
+  /// Closes the current run; an empty run is allowed.
+  void end_run() { bounds_.push_back(pieces_.size()); }
+
+  /// Canonical union of every piece appended since the last build (an
+  /// open run is closed first). Throws ContractError when a piece is
+  /// empty or a run is not sorted by start. Leaves the builder empty with
+  /// its buffers kept.
+  IntervalSet build();
+
+ private:
+  std::vector<Interval> pieces_;
+  std::vector<Interval> scratch_;        // merge ping-pong buffer
+  std::vector<std::size_t> bounds_{0};  // run r is [bounds_[r], bounds_[r+1])
 };
 
 IntervalSet operator|(const IntervalSet& a, const IntervalSet& b);

@@ -37,6 +37,8 @@ struct FaultObs {
       obs::Registry::global().counter("net.fault.relay_blocked");
   obs::Counter& scenario_windows =
       obs::Registry::global().counter("net.fault.scenario_windows");
+  obs::Counter& session_pieces =
+      obs::Registry::global().counter("net.fault.session_pieces");
 };
 
 FaultObs& fault_obs() {
@@ -126,6 +128,7 @@ void flush_fault_stats(const FaultStats& stats) {
   o.outage_cuts.add(stats.outage_cuts);
   o.relay_blocked.add(stats.relay_blocked);
   o.scenario_windows.add(stats.scenario_windows);
+  o.session_pieces.add(stats.session_pieces);
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
@@ -232,11 +235,20 @@ void FaultInjector::append_scenario_windows(std::size_t node, SimTime horizon,
 std::vector<Interval> FaultInjector::sessions(std::size_t node,
                                               const DaySchedule& schedule,
                                               int horizon_days) {
+  std::vector<Interval> out;
+  append_sessions(node, schedule, horizon_days, out);
+  return out;
+}
+
+void FaultInjector::append_sessions(std::size_t node,
+                                    const DaySchedule& schedule,
+                                    int horizon_days,
+                                    std::vector<Interval>& out) {
   DOSN_REQUIRE(horizon_days > 0, "fault: horizon must be > 0");
   const SimTime horizon = static_cast<SimTime>(horizon_days) * kDaySeconds;
 
   // This node's downtime windows, canonicalized (sorted + merged) so the
-  // subtraction below can sweep them in one pass per session piece.
+  // subtraction below can sweep them in one forward pass.
   std::vector<Interval> windows;
   for (const auto& o : plan_.node_outages) {
     if (o.node != node) continue;
@@ -247,12 +259,17 @@ std::vector<Interval> FaultInjector::sessions(std::size_t node,
   append_scenario_windows(node, horizon, windows);
   const IntervalSet down = windows.empty() ? IntervalSet{}
                                            : IntervalSet(std::move(windows));
+  const auto down_pieces = down.pieces();
 
   const bool churn =
       plan_.session_no_show > 0.0 || plan_.session_truncate > 0.0;
   util::Rng stream(util::mix64(plan_.seed, kChurnTag, node));
 
-  std::vector<Interval> out;
+  const std::size_t first = out.size();
+  // First window that may still cut a piece: piece starts only grow
+  // (day-major order), so a window ending at or before one piece's start
+  // ends before every later piece's start too.
+  auto cursor = down_pieces.begin();
   for (int day = 0; day < horizon_days; ++day) {
     const SimTime base = static_cast<SimTime>(day) * kDaySeconds;
     for (const auto& iv : schedule.set().pieces()) {
@@ -265,19 +282,20 @@ std::vector<Interval> FaultInjector::sessions(std::size_t node,
       // Subtract the outage windows piecewise — deliberately NOT through
       // IntervalSet::add, which would merge midnight-adjacent pieces and
       // change the event structure the zero plan must preserve.
+      while (cursor != down_pieces.end() && cursor->end <= piece.start)
+        ++cursor;
       Seconds s = piece.start;
-      for (const auto& w : down.pieces()) {
-        if (w.end <= s) continue;
-        if (w.start >= piece.end) break;
+      for (auto w = cursor; w != down_pieces.end(); ++w) {
+        if (w->start >= piece.end) break;
         ++stats_.outage_cuts;
-        if (w.start > s) out.push_back({s, w.start});
-        s = std::max(s, w.end);
+        if (w->start > s) out.push_back({s, w->start});
+        s = std::max(s, w->end);
         if (s >= piece.end) break;
       }
       if (s < piece.end) out.push_back({s, piece.end});
     }
   }
-  return out;
+  stats_.session_pieces += out.size() - first;
 }
 
 DaySchedule FaultInjector::degrade_day(std::size_t node,

@@ -123,6 +123,9 @@ struct FaultStats {
   std::uint64_t outage_cuts = 0;      ///< session pieces cut by an outage
   std::uint64_t relay_blocked = 0;    ///< operations refused: relay down
   std::uint64_t scenario_windows = 0; ///< realized scenario outage windows
+  std::uint64_t session_pieces = 0;   ///< session pieces materialized
+
+  friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
 /// Publishes per-run totals to the obs registry (one add per field).
@@ -156,6 +159,13 @@ class FaultInjector {
   std::vector<interval::Interval> sessions(std::size_t node,
                                            const DaySchedule& schedule,
                                            int horizon_days);
+
+  /// sessions(), appended to `out` after its existing content: the pieces
+  /// form one sorted run (starts ascending, pieces disjoint), so callers
+  /// that unite several nodes can merge the runs instead of sorting.
+  void append_sessions(std::size_t node, const DaySchedule& schedule,
+                       int horizon_days,
+                       std::vector<interval::Interval>& out);
 
   /// Daily-projection counterpart for the analytic engine: applies one
   /// day's churn draws (the same per-node stream discipline) plus the

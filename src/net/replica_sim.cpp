@@ -5,6 +5,7 @@
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/merge_runs.hpp"
 #include "util/stats.hpp"
 
 namespace dosn::net {
@@ -63,22 +64,6 @@ bool fires_before(const Event& a, const Event& b) {
   if (a.kind != b.kind) return a.kind < b.kind;
   if (a.node != b.node) return a.node < b.node;
   return a.update < b.update;
-}
-
-/// Merges the consecutive sorted runs of `events` that `bounds` delimits
-/// (run r is [bounds[r], bounds[r + 1])) pairwise, bottom-up: O(E log
-/// runs) instead of a full sort.
-void merge_runs(std::vector<Event>& events,
-                std::span<const std::size_t> bounds) {
-  const std::size_t runs = bounds.size() - 1;
-  const auto at = [&](std::size_t r) {
-    return events.begin() +
-           static_cast<std::ptrdiff_t>(bounds[std::min(r, runs)]);
-  };
-  for (std::size_t width = 1; width < runs; width *= 2)
-    for (std::size_t r = 0; r + width < runs; r += 2 * width)
-      std::inplace_merge(at(r), at(r + width), at(r + 2 * width),
-                         fires_before);
 }
 
 /// Online group state as word bitsets over the updates: one known-set row
@@ -269,7 +254,8 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
     }
     bounds.push_back(events.size());
   }
-  merge_runs(events, bounds);
+  std::vector<Event> scratch;
+  util::merge_runs(events, bounds, scratch, fires_before);
 
   ReplicaSimReport report;
   report.deliveries.resize(updates.size());

@@ -56,9 +56,8 @@ ServeMetrics& serve_metrics() {
 /// surfaces are materialized too: `ideal` is the unfaulted group union
 /// (the stale-failover surface and the feed budget's reference), `hedge`
 /// the unfaulted union of the top-2 availability-ranked members (the
-/// hedged-read surface). Under the zero plan ideal == online bit for bit
-/// (both are produced by FaultInjector::sessions, preserving the same
-/// per-(day, piece) event structure).
+/// hedged-read surface). Under the zero plan nothing degrades the
+/// realized union, so `ideal` is a copy of `online`.
 struct GroupTimeline {
   std::vector<graph::UserId> selection;
   /// kSuperPeer only: volunteer storekeepers widening the read surface
@@ -78,17 +77,17 @@ struct Member {
   const DaySchedule* schedule;
 };
 
-/// Canonical union of `members`' absolute sessions under `injector`: all
-/// pieces appended into one list and normalized once. A set has exactly
-/// one canonical form, so the append order cannot reach the result.
+/// Canonical union of `members`' absolute sessions under `injector`: each
+/// member's sessions are one sorted run (DESIGN.md §14), merged run by run
+/// in the worker's reused builder.
 IntervalSet union_sessions(net::FaultInjector& injector,
                            std::span<const Member> members, int horizon_days) {
-  std::vector<Interval> pieces;
+  thread_local interval::SortedRunUnion runs;  // never re-entered
   for (const Member& m : members) {
-    const auto sessions = injector.sessions(m.node, *m.schedule, horizon_days);
-    pieces.insert(pieces.end(), sessions.begin(), sessions.end());
+    injector.append_sessions(m.node, *m.schedule, horizon_days, runs.pieces());
+    runs.end_run();
   }
-  return IntervalSet(std::move(pieces));
+  return runs.build();
 }
 
 /// Wait from `t` until `pieces` (canonical absolute intervals) next
@@ -230,10 +229,11 @@ struct RunContext {
 
     if (resilient) {
       // Advertised (unfaulted) surfaces for the resilience paths, built
-      // through a zero-plan injector so they share the realized surface's
-      // event structure exactly — under the zero plan ideal == online.
+      // through a zero-plan injector; under the zero plan the realized
+      // union already is the unfaulted one.
       net::FaultInjector unfaulted{net::FaultPlan{}};
-      g.ideal = union_sessions(unfaulted, members, days);
+      g.ideal = injector.zero() ? g.online
+                                : union_sessions(unfaulted, members, days);
 
       if (config.resilience.hedged_reads) {
         // Top-2 members by advertised daily online time (ties to the

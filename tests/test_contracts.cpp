@@ -102,6 +102,24 @@ TEST(IntervalContracts, DayScheduleRejectsOutOfDaySets) {
   EXPECT_NO_THROW(DaySchedule(IntervalSet::single(0, kDaySeconds)));
 }
 
+TEST(IntervalContracts, SortedRunUnionRejectsUnsortedRunsAndEmptyPieces) {
+  using interval::Interval;
+  using interval::SortedRunUnion;
+  const auto build = [](std::vector<std::vector<Interval>> runs) {
+    SortedRunUnion builder;
+    for (const auto& run : runs) {
+      builder.pieces().insert(builder.pieces().end(), run.begin(), run.end());
+      builder.end_run();
+    }
+    return builder.build();
+  };
+  // Out of order inside the second run (across runs any order is fine).
+  EXPECT_THROW(build({{{50, 60}}, {{30, 40}, {10, 20}}}), ContractError);
+  EXPECT_THROW(build({{{10, 20}, {20, 20}}}), ContractError);  // empty piece
+  EXPECT_THROW(build({{{10, 5}}}), ContractError);             // reversed
+  EXPECT_NO_THROW(build({{{50, 60}}, {{10, 20}, {10, 40}}}));
+}
+
 // ----------------------------------------------------------------- graph
 
 TEST(GraphContracts, BuilderRejectsOutOfRangeEdge) {

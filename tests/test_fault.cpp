@@ -221,6 +221,99 @@ TEST(FaultInjector, OutageSplitsSessionInTheMiddle) {
   EXPECT_EQ(sessions[1], (Interval{13 * kH, 16 * kH}));
 }
 
+/// Churn burst (one window per day), a regional outage, and node outages
+/// that overlap them, cross midnight, cut one session twice, touch session
+/// ends, and end in a crash-stop; pieces touch at midnight and churn
+/// shortens some of them.
+FaultPlan layered_outage_plan() {
+  FaultPlan plan = churn_plan(0x5eed);
+  constexpr Seconds D = kDaySeconds;
+  plan.node_outages = {
+      {1, 4 * kH, 6 * kH},  // ends as a session starts
+      {1, D + 7 * kH, D + 8 * kH},
+      {1, D + 9 * kH, D + 9 * kH + 1800},
+      {0, 2 * D, 3 * D},  // another node: never cuts node 1
+      {1, 3 * D + 23 * kH, 4 * D + 1 * kH},
+      {1, 4 * D + 14 * kH, 4 * D + 20 * kH},  // between two sessions
+      {1, 5 * D + 10 * kH, 5 * D + 11 * kH},  // inside the burst
+      {1, 8 * D + 12 * kH, std::nullopt},
+  };
+  plan.scenario.regional_outages.push_back(
+      {2, 1, 2 * D + 5 * kH, 2 * D + 15 * kH, 1.0});
+  plan.scenario.churn_bursts.push_back({5 * D, 7 * D + 12 * kH, 1.0, 1.0});
+  return plan;
+}
+
+TEST(FaultInjector, OutageSweepMatchesPerPieceRescan) {
+  constexpr Seconds D = kDaySeconds;
+  IntervalSet day;
+  day.add(0, 3 * kH);
+  day.add(6 * kH, 14 * kH);
+  day.add(20 * kH, D);
+  const DaySchedule sched(day);
+  const FaultPlan plan = layered_outage_plan();
+
+  // The same churn draws without any window, then every canonical window
+  // subtracted by rescanning the window list for each piece.
+  FaultPlan churn_only = plan;
+  churn_only.node_outages.clear();
+  churn_only.scenario = {};
+  FaultInjector reference(churn_only);
+  const auto churned = reference.sessions(1, sched, 10);
+  const IntervalSet down({{4 * kH, 6 * kH},
+                          {D + 7 * kH, D + 8 * kH},
+                          {D + 9 * kH, D + 9 * kH + 1800},
+                          {2 * D + 5 * kH, 2 * D + 15 * kH},
+                          {3 * D + 23 * kH, 4 * D + 1 * kH},
+                          {4 * D + 14 * kH, 4 * D + 20 * kH},
+                          {5 * D, 6 * D},
+                          {6 * D, 7 * D},
+                          {7 * D, 7 * D + 12 * kH},
+                          {8 * D + 12 * kH, 10 * D}});
+  std::vector<Interval> expected;
+  std::uint64_t cuts = 0;
+  for (const Interval& piece : churned) {
+    Seconds s = piece.start;
+    for (const Interval& w : down.pieces()) {
+      if (w.end <= s) continue;
+      if (w.start >= piece.end) break;
+      ++cuts;
+      if (w.start > s) expected.push_back({s, w.start});
+      s = std::max(s, w.end);
+      if (s >= piece.end) break;
+    }
+    if (s < piece.end) expected.push_back({s, piece.end});
+  }
+
+  FaultInjector injector(plan);
+  EXPECT_EQ(injector.sessions(1, sched, 10), expected);
+  const FaultStats& stats = injector.stats();
+  EXPECT_EQ(stats.outage_cuts, cuts);
+  EXPECT_GE(cuts, 8u);
+  EXPECT_EQ(stats.scenario_windows, 4u);  // the region + three burst days
+  EXPECT_EQ(stats.sessions_skipped, reference.stats().sessions_skipped);
+  EXPECT_EQ(stats.sessions_truncated, reference.stats().sessions_truncated);
+}
+
+TEST(FaultInjector, AppendSessionsMatchesSessions) {
+  const FaultPlan plan = layered_outage_plan();
+  FaultInjector by_value(plan);
+  FaultInjector appending(plan);
+  const std::vector<Interval> prefix{{100, 50}, {-7, -3}};  // any content
+  std::vector<Interval> out = prefix;
+  for (const std::size_t node : {0u, 1u, 2u}) {
+    const auto sessions = by_value.sessions(node, two_windows(), 9);
+    const std::size_t before = out.size();
+    appending.append_sessions(node, two_windows(), 9, out);
+    EXPECT_EQ(std::vector<Interval>(out.begin() + before, out.end()),
+              sessions)
+        << "node " << node;
+  }
+  EXPECT_EQ(std::vector<Interval>(out.begin(), out.begin() + 2), prefix);
+  EXPECT_EQ(appending.stats(), by_value.stats());
+  EXPECT_EQ(appending.stats().session_pieces, out.size() - prefix.size());
+}
+
 TEST(FaultInjector, DegradeDayMatchesSessionsDayZero) {
   // degrade_day replays the first day of the per-node stream, so its kept
   // set must equal the day-0 slice of sessions() for a churn-only plan.

@@ -1,6 +1,10 @@
-// Unit tests for IntervalSet algebra.
+// Unit tests for IntervalSet algebra and the sorted-run union builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "interval/day_schedule.hpp"
 #include "interval/interval_set.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -221,6 +225,81 @@ TEST(IntervalSet, CanonicalInvariantUnderRandomAdds) {
     }
     EXPECT_TRUE(s.contains(expected_contains));
   }
+}
+
+// ------------------------------------------------------- SortedRunUnion
+
+using Runs = std::vector<std::vector<Interval>>;
+
+/// The builder's result for `runs`, appended run by run.
+IntervalSet build_runs(SortedRunUnion& builder, const Runs& runs) {
+  for (const auto& run : runs) {
+    auto& pieces = builder.pieces();
+    pieces.insert(pieces.end(), run.begin(), run.end());
+    builder.end_run();
+  }
+  return builder.build();
+}
+
+/// The reference: every piece of every run normalized in one constructor.
+IntervalSet normalize_runs(const Runs& runs) {
+  std::vector<Interval> all;
+  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+  return IntervalSet(std::move(all));
+}
+
+TEST(SortedRunUnion, EdgeShapesMatchTheConstructor) {
+  constexpr Seconds D = kDaySeconds;
+  const Runs shapes[] = {
+      {},                                    // no run at all
+      {{}},                                  // one empty run
+      {{}, {}, {}},                          // only empty runs
+      {{{10, 20}, {30, 40}}},                // a single run
+      {{}, {{5, 9}}, {}, {{1, 3}}, {}},      // empty runs between pieces
+      // Midnight-adjacent pieces inside one run and across runs.
+      {{{D - 60, D}, {D, D + 60}}, {{2 * D - 10, 2 * D}}, {{2 * D, 2 * D + 5}}},
+      // Equal starts inside a run and across runs.
+      {{{0, 10}, {0, 4}, {7, 12}}, {{0, 3}, {12, 13}}, {{12, 20}}},
+      // Pieces touching across runs merge; a gap of one second does not.
+      {{{0, 10}, {21, 30}}, {{10, 20}}, {{30, 31}}},
+  };
+  SortedRunUnion builder;
+  for (const Runs& runs : shapes) {
+    const IntervalSet got = build_runs(builder, runs);
+    EXPECT_EQ(got, normalize_runs(runs)) << got.to_string();
+    EXPECT_TRUE(got.is_canonical());
+  }
+}
+
+TEST(SortedRunUnion, RandomRunsMatchTheConstructor) {
+  util::Rng rng(2012);
+  SortedRunUnion builder;  // reused across rounds, as a serving worker does
+  for (int round = 0; round < 300; ++round) {
+    // Up to 12 runs: owner, replicas and storekeepers of one group.
+    Runs runs(static_cast<std::size_t>(rng.range(1, 12)));
+    for (auto& run : runs) {
+      const auto n = rng.range(0, 40);
+      Seconds start = rng.range(0, 50);
+      for (Seconds i = 0; i < n; ++i) {
+        // Steps of 0 give equal starts; short steps give overlaps within
+        // the run and pieces that touch their successor.
+        const Seconds len = rng.range(1, 30);
+        run.push_back({start, start + len});
+        start += rng.chance(0.2) ? len : rng.range(0, 40);
+      }
+    }
+    const IntervalSet got = build_runs(builder, runs);
+    ASSERT_EQ(got, normalize_runs(runs)) << "round " << round;
+  }
+}
+
+TEST(SortedRunUnion, OpenRunIsClosedByBuild) {
+  SortedRunUnion builder;
+  builder.pieces().push_back({40, 50});
+  builder.end_run();
+  builder.pieces().push_back({0, 45});  // not closed
+  EXPECT_EQ(builder.build(), IntervalSet::single(0, 50));
+  EXPECT_TRUE(builder.build().empty());  // the builder starts empty again
 }
 
 }  // namespace

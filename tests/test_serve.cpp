@@ -564,16 +564,20 @@ TEST(ServingTest, PublishesFaultCountersPerRealizedGroup) {
       "net.fault.messages_dropped", "net.fault.jitter_applied",
       "net.fault.sessions_skipped", "net.fault.sessions_truncated",
       "net.fault.outage_cuts",      "net.fault.relay_blocked",
-      "net.fault.scenario_windows"};
+      "net.fault.scenario_windows", "net.fault.session_pieces"};
   const bool was_enabled = obs::enabled();
+  const auto run = [&](std::size_t threads) {
+    util::ThreadPool pool(threads);
+    return run_serving_study(input.dataset, input.schedules, input.cohort, 11,
+                             small_config(), &pool);
+  };
+  std::vector<ServingReport> reports;
   obs::set_enabled(true);
   const auto totals = [&](std::size_t threads) {
     std::vector<std::uint64_t> before;
     for (const char* name : names)
       before.push_back(obs::Registry::global().counter(name).value());
-    util::ThreadPool pool(threads);
-    run_serving_study(input.dataset, input.schedules, input.cohort, 11,
-                      small_config(), &pool);
+    reports.push_back(run(threads));
     std::vector<std::uint64_t> added;
     for (std::size_t i = 0; i < std::size(names); ++i)
       added.push_back(obs::Registry::global().counter(names[i]).value() -
@@ -584,6 +588,12 @@ TEST(ServingTest, PublishesFaultCountersPerRealizedGroup) {
   EXPECT_EQ(totals(4), serial);
   EXPECT_GT(serial[2], 0u);  // sessions_skipped
   EXPECT_GT(serial[3], 0u);  // sessions_truncated
+  EXPECT_GT(serial[7], 0u);  // session_pieces
+  // Observability is write-only: the same run with it off is identical.
+  obs::set_enabled(false);
+  EXPECT_EQ(run(1), reports[0]);
+  EXPECT_EQ(run(4), reports[1]);
+  EXPECT_EQ(reports[1], reports[0]);
   obs::set_enabled(was_enabled);
 }
 
