@@ -1,6 +1,7 @@
 #include "serve/serving.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <optional>
 #include <utility>
 
@@ -33,21 +34,18 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Latency histograms, recorded per request (a relaxed bucket add when
-/// observability is on). The run's counters are published once, from
-/// the reduced report (publish_counters).
-struct ServeMetrics {
-  obs::Histogram& read = obs::Registry::global().histogram(
-      "serve.latency.read", LatencyHistogram::default_bounds());
-  obs::Histogram& feed = obs::Registry::global().histogram(
-      "serve.latency.feed", LatencyHistogram::default_bounds());
-  obs::Histogram& write = obs::Registry::global().histogram(
-      "serve.latency.write", LatencyHistogram::default_bounds());
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
+/// The latency histogram of request `kind`, recorded per request (a
+/// relaxed bucket add when observability is on). The run's counters are
+/// published once, from the reduced report (publish_counters).
+obs::Histogram& latency_metric(RequestKind kind) {
+  static obs::Histogram* const by_kind[] = {
+      &obs::Registry::global().histogram("serve.latency.read",
+                                         LatencyHistogram::default_bounds()),
+      &obs::Registry::global().histogram("serve.latency.feed",
+                                         LatencyHistogram::default_bounds()),
+      &obs::Registry::global().histogram("serve.latency.write",
+                                         LatencyHistogram::default_bounds())};
+  return *by_kind[static_cast<std::size_t>(kind)];
 }
 
 /// One profile's realized serving surface: the replica selection plus the
@@ -67,6 +65,11 @@ struct GroupTimeline {
   IntervalSet online;
   IntervalSet ideal;
   IntervalSet hedge;
+  /// A served writer's durable surface (serving.hpp); nullopt for a
+  /// writer's group when the owner alone holds the profile.
+  std::optional<IntervalSet> durable;
+  /// Pieces append_sessions emitted for this group (serve.session_pieces).
+  std::uint64_t session_pieces = 0;
 };
 
 /// One group member as the fault layer sees it: `node` is the member's
@@ -77,12 +80,18 @@ struct Member {
   const DaySchedule* schedule;
 };
 
-/// Canonical union of `members`' absolute sessions under `injector`: each
-/// member's sessions are one sorted run (DESIGN.md §14), merged run by run
-/// in the worker's reused builder.
-IntervalSet union_sessions(net::FaultInjector& injector,
-                           std::span<const Member> members, int horizon_days) {
+/// Canonical union of `realized` (canonical sets) and `members`' absolute
+/// sessions under `injector`: each is one sorted run (DESIGN.md §14),
+/// merged run by run in the worker's reused builder.
+IntervalSet union_sessions(
+    net::FaultInjector& injector, std::span<const Member> members,
+    int horizon_days, std::initializer_list<const IntervalSet*> realized = {}) {
   thread_local interval::SortedRunUnion runs;  // never re-entered
+  for (const IntervalSet* s : realized) {
+    runs.pieces().insert(runs.pieces().end(), s->pieces().begin(),
+                         s->pieces().end());
+    runs.end_run();
+  }
   for (const Member& m : members) {
     injector.append_sessions(m.node, *m.schedule, horizon_days, runs.pieces());
     runs.end_run();
@@ -181,8 +190,9 @@ struct RunContext {
 
   /// Selection plus realized group sessions for `user`'s profile. A pure
   /// function of (seed, plan seed, user): identical whether the user is
-  /// being served or fanned into a friend's feed.
-  GroupTimeline realize_group(graph::UserId user) const {
+  /// being served or fanned into a friend's feed. A `writer` group (the
+  /// served user issues a write) also carries its durable surface.
+  GroupTimeline realize_group(graph::UserId user, bool writer) const {
     GroupTimeline g;
     util::Rng rng(util::mix64(placement_stream, user));
     if (config.regime == placement::StorageRegime::kSocialDht) {
@@ -221,10 +231,28 @@ struct RunContext {
     for (const auto* ids : {&g.selection, &g.storekeepers})
       for (const graph::UserId v : *ids)
         members.push_back({members.size(), &schedules[v]});
+    const std::span<const Member> all = members;
     const int days = config.workload.horizon_days;
 
     net::FaultInjector injector(plan_for(user));
-    g.online = union_sessions(injector, members, days);
+    if (writer && (relay_exists() || !g.selection.empty())) {
+      // A served writer's durable surface (serving.hpp), built from the
+      // owner's run and the selection's union, which `online` then unites
+      // with the storekeepers' runs: every member is realized once.
+      const std::size_t k = g.selection.size();
+      const IntervalSet sel = union_sessions(injector, all.subspan(1, k), days);
+      const IntervalSet owner = union_sessions(injector, all.first(1), days);
+      g.online =
+          union_sessions(injector, all.subspan(1 + k), days, {&owner, &sel});
+      const IntervalSet durable =
+          config.regime == placement::StorageRegime::kSocialDht ? sel
+          : relay_exists() ? owner.subtract(relay_outages)
+                           : owner.intersect(sel);
+      g.durable = durable;  // a copy: stored at exact size
+    } else {
+      g.online = union_sessions(injector, all, days);
+    }
+    g.session_pieces = injector.stats().session_pieces;
     injector.flush_stats();  // net.fault.*: once per realized group
 
     if (resilient) {
@@ -246,6 +274,7 @@ struct RunContext {
         top.resize(std::min<std::size_t>(top.size(), 2));
         g.hedge = union_sessions(unfaulted, top, days);
       }
+      g.session_pieces += unfaulted.stats().session_pieces;
     }
     return g;
   }
@@ -267,58 +296,63 @@ struct GroupTable {
   }
 };
 
-/// Profiles `user`'s requests read: its own (always), each profile-read
-/// target, and every contact once it assembles a feed.
-std::vector<graph::UserId> referenced_profiles(const RunContext& run,
-                                               graph::UserId user) {
+/// What a served user's requests need from the group table: the profiles
+/// they read — its own (always), each profile-read target, and every
+/// contact once it assembles a feed — and whether it writes.
+struct References {
+  std::vector<graph::UserId> profiles;
+  bool writer = false;
+};
+
+References referenced_profiles(const RunContext& run, graph::UserId user) {
   const auto contacts = run.dataset.graph.contacts(user);
-  std::vector<graph::UserId> refs{user};
-  if (contacts.empty()) return refs;
+  References refs{{user}};
+  bool feed = false;  // every contact is in; later reads add nothing
   for (const Request& r : run.requests(user)) {
+    refs.writer |= r.kind == RequestKind::kPostWrite;
+    if (contacts.empty() || feed) continue;
     if (r.kind == RequestKind::kProfileRead) {
-      refs.push_back(contacts[r.target_index % contacts.size()]);
+      refs.profiles.push_back(contacts[r.target_index % contacts.size()]);
     } else if (r.kind == RequestKind::kFeedAssembly) {
-      refs.insert(refs.end(), contacts.begin(), contacts.end());
-      break;  // every contact is in; later reads add nothing
+      refs.profiles.insert(refs.profiles.end(), contacts.begin(),
+                           contacts.end());
+      feed = true;
     }
   }
   return refs;
 }
 
 /// Pre-pass over the served users, then one parallel realization of the
-/// sorted, deduplicated profile list into the dense table. Realization is
-/// a pure function of (seed, user), so the table — and the placement obs
+/// sorted, deduplicated profile list into the dense table; a writer's own
+/// group is realized with its durable surface. Realization is a pure
+/// function of (seed, user), so the table — and the placement obs
 /// counters, one selection per profile — is thread-count invariant.
 GroupTable build_group_table(const RunContext& run,
                              std::span<const graph::UserId> served,
                              util::ThreadPool* pool) {
-  std::vector<std::vector<graph::UserId>> refs(served.size());
+  std::vector<References> refs(served.size());
   util::parallel_for_each(pool, served.size(), [&](std::size_t i) {
     refs[i] = referenced_profiles(run, served[i]);
   });
   GroupTable table;
   for (const auto& r : refs)
-    table.profiles.insert(table.profiles.end(), r.begin(), r.end());
+    table.profiles.insert(table.profiles.end(), r.profiles.begin(),
+                          r.profiles.end());
   std::sort(table.profiles.begin(), table.profiles.end());
   table.profiles.erase(
       std::unique(table.profiles.begin(), table.profiles.end()),
       table.profiles.end());
+  std::vector<graph::UserId> writers;
+  for (std::size_t i = 0; i < served.size(); ++i)
+    if (refs[i].writer) writers.push_back(served[i]);
+  std::sort(writers.begin(), writers.end());
   table.groups.resize(table.profiles.size());
   util::parallel_for_each(pool, table.profiles.size(), [&](std::size_t i) {
-    table.groups[i] = run.realize_group(table.profiles[i]);
+    const graph::UserId p = table.profiles[i];
+    table.groups[i] = run.realize_group(
+        p, std::binary_search(writers.begin(), writers.end(), p));
   });
   return table;
-}
-
-/// Read latency of one profile fetch at time t against `group` (nullopt:
-/// unreachable within the horizon). Crypto cost is added by the caller.
-std::optional<Seconds> fetch_wait(const RunContext& run,
-                                  const GroupTimeline& group, SimTime t) {
-  const auto group_wait = wait_within(group.online.pieces(), t);
-  if (!run.relay_exists()) return group_wait;
-  const Seconds relay = run.relay_wait(t);
-  if (!group_wait) return relay;
-  return std::min(*group_wait, relay);
 }
 
 /// Instant the client gives up on fresh data: the capped-backoff retry
@@ -354,9 +388,13 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
                    SimTime t) {
   const ResiliencePolicy& p = run.config.resilience;
   FetchOutcome out;
-  const auto primary_wait = fetch_wait(run, group, t);
-  std::optional<SimTime> best;
-  if (primary_wait) best = t + *primary_wait;
+  // Primary: the realized group, or under UnconRep the persistent store
+  // whenever the relay is up.
+  std::optional<SimTime> best = arrival_within(group.online.pieces(), t);
+  if (run.relay_exists()) {
+    const SimTime relay = t + run.relay_wait(t);
+    best = best ? std::min(*best, relay) : relay;
+  }
   if (!run.resilient) {
     out.arrival = best;
     return out;
@@ -388,17 +426,15 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
       }
     }
   }
-  if (p.max_retries > 0) {
-    // Retries that actually fired: schedule instants before completion
-    // (all scheduled instants when the request is never served).
-    SimTime at = t;
-    Seconds backoff = p.retry_backoff;
-    for (int i = 0; i < p.max_retries; ++i) {
-      at += backoff;
-      backoff = std::min(p.retry_backoff_cap, backoff * 2);
-      if (p.deadline > 0 && at > t + p.deadline) break;
-      if (!best || at < *best) ++out.retries;
-    }
+  // Retries that actually fired: schedule instants before completion (all
+  // scheduled instants when the request is never served).
+  SimTime at = t;
+  Seconds backoff = p.retry_backoff;
+  for (int i = 0; i < p.max_retries; ++i) {
+    at += backoff;
+    backoff = std::min(p.retry_backoff_cap, backoff * 2);
+    if (p.deadline > 0 && at > t + p.deadline) break;
+    if (!best || at < *best) ++out.retries;
   }
   out.arrival = best;
   return out;
@@ -423,38 +459,6 @@ void serve_user(const RunContext& run, const GroupTable& groups,
   load.regime.online_seconds +=
       static_cast<std::uint64_t>(own.online.measure());
 
-  // Write durability, decided once per user: a write is durable once a
-  // realized `durable` surface next covers an instant. Under kSocialDht
-  // that is the non-owner responsible nodes (a DHT put); under UnconRep
-  // the owner online while the relay is up (the upload to the persistent
-  // store); under ConRep the owner online together with a replica — an
-  // update crosses only between simultaneously online members, so the
-  // first such instant is its first arrival beyond the owner (DESIGN.md
-  // §14). Node ids are the fault-stream ids realize_group uses (owner 0,
-  // then the selection); storekeepers widen reads only. With no surface
-  // the owner alone holds the profile and the write is durable locally.
-  std::optional<IntervalSet> durable;
-  const bool writes = std::any_of(
-      requests.begin(), requests.end(),
-      [](const Request& r) { return r.kind == RequestKind::kPostWrite; });
-  if (writes && (run.relay_exists() || !own.selection.empty())) {
-    const int days = run.config.workload.horizon_days;
-    const Member owner{0, &run.schedules[user]};
-    std::vector<Member> replicas;
-    for (const graph::UserId v : own.selection)
-      replicas.push_back({replicas.size() + 1, &run.schedules[v]});
-    net::FaultInjector injector(run.plan_for(user));
-    if (dht_regime)
-      durable = union_sessions(injector, replicas, days);
-    else if (run.relay_exists())
-      durable = union_sessions(injector, {&owner, 1}, days)
-                    .subtract(run.relay_outages);
-    else
-      durable = union_sessions(injector, {&owner, 1}, days)
-                    .intersect(union_sessions(injector, replicas, days));
-  }
-
-  ServeMetrics& metrics = serve_metrics();
   const ResiliencePolicy& policy = run.config.resilience;
   const Seconds crypto = run.config.crypto_op_cost;
   const auto fetch_noted = [&](const GroupTimeline& group, SimTime t) {
@@ -584,8 +588,8 @@ void serve_user(const RunContext& run, const GroupTable& groups,
         break;
       }
       case RequestKind::kPostWrite: {
-        if (durable)
-          latency = wait_within(durable->pieces(), r.time);
+        if (own.durable)
+          latency = wait_within(own.durable->pieces(), r.time);
         else
           latency = 0;  // local durability
         if (latency)
@@ -602,11 +606,7 @@ void serve_user(const RunContext& run, const GroupTable& groups,
     if (latency) {
       stats.latency.record(*latency);
       if (*latency > run.config.slo) ++stats.slo_misses;
-      obs::Histogram& h = r.kind == RequestKind::kProfileRead ? metrics.read
-                          : r.kind == RequestKind::kFeedAssembly
-                              ? metrics.feed
-                              : metrics.write;
-      h.record(*latency);
+      latency_metric(r.kind).record(*latency);
     } else {
       ++stats.unserved;
       ++stats.slo_misses;
@@ -619,10 +619,14 @@ void serve_user(const RunContext& run, const GroupTable& groups,
   }
 }
 
-/// Publishes the run's serving counters once, from the reduced report.
-void publish_counters(const ServingReport& report) {
+/// Publishes the run's serving counters once, from the reduced report and
+/// the group table.
+void publish_counters(const ServingReport& report, const GroupTable& table) {
+  std::uint64_t pieces = 0;
+  for (const GroupTimeline& g : table.groups) pieces += g.session_pieces;
   obs::Registry& registry = obs::Registry::global();
   const std::pair<const char*, std::uint64_t> totals[] = {
+      {"serve.session_pieces", pieces},
       {"serve.requests", report.requests},
       {"serve.unserved", report.unserved},
       {"serve.slo_misses", report.slo_misses},
@@ -752,13 +756,9 @@ ServingReport run_serving_study(const trace::Dataset& dataset,
   };
 
   if (run.relay_exists()) {
-    std::vector<Interval> outages;
-    for (const auto& w : config.faults.relay_outages) {
-      const SimTime start = std::min<SimTime>(w.start, run.horizon);
-      const SimTime end = std::min<SimTime>(w.end, run.horizon);
-      if (start < end) outages.push_back({start, end});
-    }
-    run.relay_outages = IntervalSet(std::move(outages));
+    for (const auto& w : config.faults.relay_outages)
+      if (w.start < w.end) run.relay_outages.add(w.start, w.end);
+    run.relay_outages = run.relay_outages.clip(0, run.horizon);
   }
 
   // Fan out into per-index slots; stealing reorders execution only.
@@ -794,7 +794,7 @@ ServingReport run_serving_study(const trace::Dataset& dataset,
   report.slo_misses = report.read.slo_misses + report.feed.slo_misses +
                       report.write.slo_misses;
   report.served = report.requests - report.unserved;
-  publish_counters(report);
+  publish_counters(report, groups);
   return report;
 }
 

@@ -23,8 +23,11 @@
 //     write's earliest arrival at a non-origin replica (the instant
 //     net::simulate_replica_group would report; DESIGN.md §14). Under
 //     UnconRep it is the owner online while the relay is up (upload to
-//     the persistent store). A single-node group writes locally
-//     (latency 0) under ConRep.
+//     the persistent store); under kSocialDht the non-owner responsible
+//     nodes (a DHT put). A single-node group writes locally (latency 0)
+//     under ConRep. The surface is built once, when the served writer's
+//     own group is realized, from the same member runs as the group's
+//     read surface: no session is realized twice.
 //
 // A DECENT-style crypto-cost knob taxes every object operation: reads add
 // one op, feeds one per friend profile, writes 1 + |selection| ops

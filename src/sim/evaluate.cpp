@@ -216,7 +216,7 @@ void UserTable::evaluate(std::span<const std::uint32_t> picks,
   DOSN_ASSERT(first_k <= k_max && out.size() == k_max - first_k + 1);
   const std::size_t take_max = std::min(k_max, picks.size());
   for (std::size_t i = 0; i < take_max; ++i) {
-    DOSN_ASSERT(picks[i] < positions_);
+    DOSN_CHECK(picks[i] < positions_);
     std::uint32_t& rank = rank_[picks[i]];
     rank = std::min(rank, static_cast<std::uint32_t>(i + 1));
   }

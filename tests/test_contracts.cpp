@@ -355,6 +355,21 @@ TEST(SimContracts, EvaluateUserRejectsHolderWithoutSchedule) {
                ContractError);
 }
 
+TEST(SimContracts, UserTableRejectsPickOutOfRange) {
+  const auto dataset = tiny_dataset();
+  const std::vector<interval::DaySchedule> schedules(
+      3, interval::DaySchedule::always());
+  const std::vector<graph::UserId> holders{0, 2};
+  sim::UserTable table;
+  table.build(dataset, schedules, 1, holders, Connectivity::kConRep);
+  std::vector<sim::UserMetrics> rows(3);
+  // Positions: the two contacts, no extra holder.
+  const std::vector<std::uint32_t> in_range{1, 0};
+  EXPECT_NO_THROW(table.evaluate(in_range, 0, 2, rows));
+  const std::vector<std::uint32_t> past_the_end{0, 2};
+  EXPECT_THROW(table.evaluate(past_the_end, 0, 2, rows), ContractError);
+}
+
 // Study options are checked once at every sweep entry: zero repetitions
 // used to reach average_runs' internal assertion with an empty run list,
 // and a zero shard size was silently clamped to 1.

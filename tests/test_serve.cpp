@@ -3,7 +3,8 @@
 // against hand-computed waits (ConRep replica writes included), bit-
 // identity across thread counts and observability settings, one
 // realization per referenced profile, fault counters published per
-// realized group, exact SLO-miss monotonicity under nested fault
+// realized group, one realization of every session piece (writers'
+// durable surfaces included), exact SLO-miss monotonicity under nested fault
 // intensities, and a
 // golden grid pinning the request log and effort counters of every
 // regime x resilience-policy cell.
@@ -17,6 +18,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -367,6 +369,53 @@ TEST(ServingTest, ConRepReplicaWriteWaitsForOwnerToMeetReplica) {
   EXPECT_GT(total_writes, total_unserved);
 }
 
+TEST(ServingTest, FlashOnlyWriterWaitsForOwnerToMeetReplica) {
+  // The ConRep pair above, with writes only from a flash crowd: the base
+  // streams carry no write, so only the pre-pass reading the flash extras
+  // marks the users as writers. Each flash write must wait for owner ∩
+  // replica ([10:00, 11:00) daily) plus 2 crypto ops, never be durable
+  // locally (crypto alone).
+  const auto d = pair_dataset();
+  const std::vector<DaySchedule> schedules{window(8, 11), window(10, 16)};
+  const std::vector<graph::UserId> cohort{0, 1};
+  ServingConfig config;
+  config.replicas = 1;
+  config.crypto_op_cost = 7;
+  config.workload.horizon_days = 3;
+  config.workload.requests_per_user_per_day = 1.0;
+  config.faults.scenario.flash_crowds.push_back(
+      {.start = 0, .end = 3 * kDaySeconds, .load_multiplier = 11.0});
+  const std::uint64_t seed = 3;
+  const auto meet = absolute(window(10, 11), config.workload.horizon_days);
+
+  std::uint64_t writes = 0;
+  std::uint64_t unserved = 0;
+  Seconds latency_sum = 0;
+  for (graph::UserId u : {0u, 1u}) {
+    const auto base = user_requests(config.workload, seed, u, 1);
+    ASSERT_FALSE(base.empty());
+    for (const auto& r : base) ASSERT_NE(r.kind, RequestKind::kPostWrite);
+    for (const auto& r : flash_requests(config.workload, config.faults.scenario,
+                                        config.faults.seed, u, 1)) {
+      if (r.kind != RequestKind::kPostWrite) continue;
+      ++writes;
+      if (const auto next = meet.next_at_or_after(r.time))
+        latency_sum += *next - r.time + 2 * config.crypto_op_cost;
+      else
+        ++unserved;
+    }
+  }
+  ASSERT_GT(writes, unserved);
+  const auto report = run_serving_study(d, schedules, cohort, seed, config);
+  EXPECT_EQ(report.write.requests, writes);
+  EXPECT_EQ(report.write.unserved, unserved);
+  EXPECT_EQ(report.write.latency.sum(), latency_sum);
+  // Local durability would charge the crypto ops alone.
+  EXPECT_GT(report.write.latency.sum(),
+            static_cast<Seconds>(writes - unserved) * 2 *
+                config.crypto_op_cost);
+}
+
 TEST(ServingTest, ValidateRejectsBadConfig) {
   const auto d = pair_dataset();
   const std::vector<DaySchedule> schedules{window(8, 10), window(12, 16)};
@@ -594,6 +643,44 @@ TEST(ServingTest, PublishesFaultCountersPerRealizedGroup) {
   EXPECT_EQ(run(1), reports[0]);
   EXPECT_EQ(run(4), reports[1]);
   EXPECT_EQ(reports[1], reports[0]);
+  obs::set_enabled(was_enabled);
+}
+
+TEST(ServingTest, SessionPiecesCountEachRealizationOnce) {
+  // Writes only, no resilience policy: every session piece serving
+  // realizes comes from a group's faulted injector, and a writer's durable
+  // surface reuses its group's runs, so serve.session_pieces equals
+  // net.fault.session_pieces. A resilient run also realizes the unfaulted
+  // (advertised) surfaces and counts those pieces too.
+  const auto input = small_input();
+  auto config = small_config();
+  config.workload.read_fraction = 0.0;
+  config.workload.feed_fraction = 0.0;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& serve = obs::Registry::global().counter("serve.session_pieces");
+  obs::Counter& fault =
+      obs::Registry::global().counter("net.fault.session_pieces");
+  const auto added = [&](const ServingConfig& c, std::size_t threads) {
+    util::ThreadPool pool(threads);
+    const std::uint64_t serve_before = serve.value();
+    const std::uint64_t fault_before = fault.value();
+    const auto report = run_serving_study(input.dataset, input.schedules,
+                                          input.cohort, 11, c, &pool);
+    EXPECT_GT(report.write.requests, 0u);
+    return std::pair{serve.value() - serve_before,
+                     fault.value() - fault_before};
+  };
+  const auto serial = added(config, 1);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_EQ(serial.first, serial.second);
+  EXPECT_EQ(added(config, 4), serial);
+
+  config.resilience = full_resilience();
+  const auto resilient = added(config, 4);
+  EXPECT_EQ(resilient.second, serial.second);
+  EXPECT_GT(resilient.first, resilient.second);
+  EXPECT_EQ(added(config, 1), resilient);
   obs::set_enabled(was_enabled);
 }
 
