@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "interval/packed_set.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/merge_runs.hpp"
@@ -275,7 +276,7 @@ void IntervalSet::normalize() {
   intervals_.shrink_to_fit();
 }
 
-IntervalSet SortedRunUnion::build() {
+std::span<const Interval> SortedRunUnion::merge_and_compact() {
   DOSN_CHECK(bounds_.back() <= pieces_.size(),
              "SortedRunUnion: pieces removed after their run was closed");
   if (bounds_.back() < pieces_.size()) end_run();
@@ -291,24 +292,37 @@ IntervalSet SortedRunUnion::build() {
                    [](const Interval& a, const Interval& b) {
                      return a.start < b.start;
                    });
-  // The same merge-and-compact pass as normalize(), then one exact-size
-  // copy out: the buffer keeps its capacity for the next build.
-  IntervalSet out;
-  if (!pieces_.empty()) {
-    std::size_t last = 0;
-    for (std::size_t i = 1; i < pieces_.size(); ++i) {
-      if (pieces_[i].start <= pieces_[last].end)
-        pieces_[last].end = std::max(pieces_[last].end, pieces_[i].end);
-      else
-        pieces_[++last] = pieces_[i];
-    }
-    out.intervals_.assign(pieces_.begin(),
-                          pieces_.begin() + static_cast<std::ptrdiff_t>(last + 1));
+  // The same merge-and-compact pass as normalize(); the caller copies the
+  // result out at exact size, so the buffer keeps its capacity.
+  if (pieces_.empty()) return {};
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < pieces_.size(); ++i) {
+    if (pieces_[i].start <= pieces_[last].end)
+      pieces_[last].end = std::max(pieces_[last].end, pieces_[i].end);
+    else
+      pieces_[++last] = pieces_[i];
   }
+  return std::span<const Interval>(pieces_).first(last + 1);
+}
+
+void SortedRunUnion::reset() {
   pieces_.clear();
   bounds_.resize(1);
+}
+
+IntervalSet SortedRunUnion::build() {
+  const auto canonical = merge_and_compact();
+  IntervalSet out;
+  out.intervals_.assign(canonical.begin(), canonical.end());
+  reset();
   DOSN_DCHECK(out.is_canonical(), "SortedRunUnion postcondition: ",
               out.to_string());
+  return out;
+}
+
+PackedSet SortedRunUnion::build_packed() {
+  PackedSet out(merge_and_compact());
+  reset();
   return out;
 }
 

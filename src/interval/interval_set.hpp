@@ -124,13 +124,14 @@ class IntervalSet {
   std::vector<Interval> intervals_;
 };
 
-/// Builds canonical IntervalSets from consecutive sorted runs: the shape
-/// of a group union, one day-major session run per member (DESIGN.md
-/// §14). Pieces are appended run by run into one reused buffer; build()
-/// merges the runs bottom-up (util::merge_runs, O(n log runs)) and
-/// compacts them in one linear pass. Exactly `IntervalSet(pieces)` for
-/// the same pieces, and a warmed builder allocates only the result's
-/// exact-size piece vector.
+class PackedSet;  // interval/packed_set.hpp
+
+/// Builds canonical sets from consecutive sorted runs: the shape of a
+/// group union, one day-major session run per member (DESIGN.md §14).
+/// Pieces are appended run by run into one reused buffer; a build merges
+/// the runs bottom-up (util::merge_runs, O(n log runs)) and compacts them
+/// in one linear pass. Exactly `IntervalSet(pieces)` for the same pieces,
+/// and a warmed builder allocates only the result's exact-size pieces.
 class SortedRunUnion {
  public:
   /// The append buffer. Pieces appended since the last end_run() (or
@@ -145,8 +146,17 @@ class SortedRunUnion {
   /// empty or a run is not sorted by start. Leaves the builder empty with
   /// its buffers kept.
   IntervalSet build();
+  /// The same union, packed straight into 32-bit seconds; also throws
+  /// ContractError when it leaves [0, UINT32_MAX] (PackedSet).
+  PackedSet build_packed();
 
  private:
+  /// Checks, merges and compacts the appended runs in place; returns the
+  /// canonical prefix of the buffer, valid until reset().
+  std::span<const Interval> merge_and_compact();
+  /// Empties the builder, keeping its buffers.
+  void reset();
+
   std::vector<Interval> pieces_;
   std::vector<Interval> scratch_;        // merge ping-pong buffer
   std::vector<std::size_t> bounds_{0};  // run r is [bounds_[r], bounds_[r+1])

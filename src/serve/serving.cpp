@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "interval/day_schedule.hpp"
 #include "interval/interval_set.hpp"
+#include "interval/packed_set.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -16,6 +18,7 @@ namespace dosn::serve {
 using interval::DaySchedule;
 using interval::Interval;
 using interval::IntervalSet;
+using interval::PackedSet;
 using net::SimTime;
 
 namespace {
@@ -55,19 +58,21 @@ obs::Histogram& latency_metric(RequestKind kind) {
 /// (the stale-failover surface and the feed budget's reference), `hedge`
 /// the unfaulted union of the top-2 availability-ranked members (the
 /// hedged-read surface). Under the zero plan nothing degrades the
-/// realized union, so `ideal` is a copy of `online`.
+/// realized union, so `ideal` is a copy of `online`. Every surface is
+/// stored in 32-bit horizon seconds (interval::PackedSet), which the
+/// horizon bound in validate(ServingConfig) makes exact.
 struct GroupTimeline {
   std::vector<graph::UserId> selection;
   /// kSuperPeer only: volunteer storekeepers widening the read surface
   /// (empty under every other regime — and under the threshold-1.0
   /// degeneracy, which is what keeps that path bit-identical).
   std::vector<graph::UserId> storekeepers;
-  IntervalSet online;
-  IntervalSet ideal;
-  IntervalSet hedge;
+  PackedSet online;
+  PackedSet ideal;
+  PackedSet hedge;
   /// A served writer's durable surface (serving.hpp); nullopt for a
   /// writer's group when the owner alone holds the profile.
-  std::optional<IntervalSet> durable;
+  std::optional<PackedSet> durable;
   /// Pieces append_sessions emitted for this group (serve.session_pieces).
   std::uint64_t session_pieces = 0;
 };
@@ -80,13 +85,14 @@ struct Member {
   const DaySchedule* schedule;
 };
 
-/// Canonical union of `realized` (canonical sets) and `members`' absolute
-/// sessions under `injector`: each is one sorted run (DESIGN.md §14),
-/// merged run by run in the worker's reused builder.
-IntervalSet union_sessions(
+/// The worker's reused builder, holding `realized` (canonical sets) and
+/// `members`' absolute sessions under `injector`, each one sorted run
+/// (DESIGN.md §14); the caller builds their union at once.
+interval::SortedRunUnion& session_runs(
     net::FaultInjector& injector, std::span<const Member> members,
     int horizon_days, std::initializer_list<const IntervalSet*> realized = {}) {
-  thread_local interval::SortedRunUnion runs;  // never re-entered
+  // Never re-entered: each caller builds the runs before the next call.
+  thread_local interval::SortedRunUnion runs;
   for (const IntervalSet* s : realized) {
     runs.pieces().insert(runs.pieces().end(), s->pieces().begin(),
                          s->pieces().end());
@@ -96,28 +102,7 @@ IntervalSet union_sessions(
     injector.append_sessions(m.node, *m.schedule, horizon_days, runs.pieces());
     runs.end_run();
   }
-  return runs.build();
-}
-
-/// Wait from `t` until `pieces` (canonical absolute intervals) next
-/// covers an instant; nullopt when nothing remains within the horizon.
-std::optional<Seconds> wait_within(std::span<const Interval> pieces,
-                                   SimTime t) {
-  // First piece ending after t.
-  const auto it = std::upper_bound(
-      pieces.begin(), pieces.end(), t,
-      [](SimTime v, const Interval& p) { return v < p.end; });
-  if (it == pieces.end()) return std::nullopt;
-  return it->start <= t ? 0 : it->start - t;
-}
-
-/// Absolute instant `pieces` next covers at or after `t`; nullopt when
-/// nothing remains within the horizon.
-std::optional<SimTime> arrival_within(std::span<const Interval> pieces,
-                                      SimTime t) {
-  const auto wait = wait_within(pieces, t);
-  if (!wait) return std::nullopt;
-  return t + *wait;
+  return runs;
 }
 
 /// Per-served-user accumulation, reduced serially in cohort order.
@@ -240,17 +225,20 @@ struct RunContext {
       // owner's run and the selection's union, which `online` then unites
       // with the storekeepers' runs: every member is realized once.
       const std::size_t k = g.selection.size();
-      const IntervalSet sel = union_sessions(injector, all.subspan(1, k), days);
-      const IntervalSet owner = union_sessions(injector, all.first(1), days);
+      const IntervalSet sel =
+          session_runs(injector, all.subspan(1, k), days).build();
+      const IntervalSet owner =
+          session_runs(injector, all.first(1), days).build();
       g.online =
-          union_sessions(injector, all.subspan(1 + k), days, {&owner, &sel});
+          session_runs(injector, all.subspan(1 + k), days, {&owner, &sel})
+              .build_packed();
       const IntervalSet durable =
           config.regime == placement::StorageRegime::kSocialDht ? sel
           : relay_exists() ? owner.subtract(relay_outages)
                            : owner.intersect(sel);
-      g.durable = durable;  // a copy: stored at exact size
+      g.durable.emplace(durable.pieces());
     } else {
-      g.online = union_sessions(injector, all, days);
+      g.online = session_runs(injector, all, days).build_packed();
     }
     g.session_pieces = injector.stats().session_pieces;
     injector.flush_stats();  // net.fault.*: once per realized group
@@ -260,8 +248,9 @@ struct RunContext {
       // through a zero-plan injector; under the zero plan the realized
       // union already is the unfaulted one.
       net::FaultInjector unfaulted{net::FaultPlan{}};
-      g.ideal = injector.zero() ? g.online
-                                : union_sessions(unfaulted, members, days);
+      g.ideal = injector.zero()
+                    ? g.online
+                    : session_runs(unfaulted, members, days).build_packed();
 
       if (config.resilience.hedged_reads) {
         // Top-2 members by advertised daily online time (ties to the
@@ -272,7 +261,7 @@ struct RunContext {
           return a.schedule->online_seconds() > b.schedule->online_seconds();
         });
         top.resize(std::min<std::size_t>(top.size(), 2));
-        g.hedge = union_sessions(unfaulted, top, days);
+        g.hedge = session_runs(unfaulted, top, days).build_packed();
       }
       g.session_pieces += unfaulted.stats().session_pieces;
     }
@@ -390,7 +379,7 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
   FetchOutcome out;
   // Primary: the realized group, or under UnconRep the persistent store
   // whenever the relay is up.
-  std::optional<SimTime> best = arrival_within(group.online.pieces(), t);
+  std::optional<SimTime> best = group.online.next_at_or_after(t);
   if (run.relay_exists()) {
     const SimTime relay = t + run.relay_wait(t);
     best = best ? std::min(*best, relay) : relay;
@@ -404,8 +393,7 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
     // Primary not done by the hedge delay: launch the hedge against the
     // top-2 members' advertised surface.
     out.hedged = true;
-    const auto hedge =
-        arrival_within(group.hedge.pieces(), t + p.hedge_delay);
+    const auto hedge = group.hedge.next_at_or_after(t + p.hedge_delay);
     if (hedge && (!best || *hedge < *best)) {
       best = hedge;
       out.hedge_win = true;
@@ -415,7 +403,7 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
     // The freshest gossip-cached copy: retrievable from the give-up
     // instant onward whenever a group member would be online per its
     // advertised schedule, at the staleness tax.
-    const auto cached = arrival_within(group.ideal.pieces(), t);
+    const auto cached = group.ideal.next_at_or_after(t);
     if (cached) {
       const SimTime stale =
           std::max(give_up_instant(p, t), *cached) + p.stale_read_tax;
@@ -546,7 +534,7 @@ void serve_user(const RunContext& run, const GroupTable& groups,
             if (!run.resilient) break;
           }
           if (budgetable) {
-            const auto ideal = arrival_within(fg.ideal.pieces(), r.time);
+            const auto ideal = fg.ideal.next_at_or_after(r.time);
             if (ideal)
               ideal_done = std::max(ideal_done, *ideal);
             else
@@ -588,12 +576,13 @@ void serve_user(const RunContext& run, const GroupTable& groups,
         break;
       }
       case RequestKind::kPostWrite: {
-        if (own.durable)
-          latency = wait_within(own.durable->pieces(), r.time);
-        else
-          latency = 0;  // local durability
-        if (latency)
-          *latency += crypto * static_cast<Seconds>(1 + own.selection.size());
+        // No surface: the owner alone holds the profile (local durability).
+        const auto durable =
+            own.durable ? own.durable->next_at_or_after(r.time)
+                        : std::optional<SimTime>(r.time);
+        if (durable)
+          latency = *durable - r.time +
+                    crypto * static_cast<Seconds>(1 + own.selection.size());
         break;
       }
     }
@@ -620,13 +609,19 @@ void serve_user(const RunContext& run, const GroupTable& groups,
 }
 
 /// Publishes the run's serving counters once, from the reduced report and
-/// the group table.
+/// the group table (serve.surface_pieces: the pieces its surfaces store).
 void publish_counters(const ServingReport& report, const GroupTable& table) {
-  std::uint64_t pieces = 0;
-  for (const GroupTimeline& g : table.groups) pieces += g.session_pieces;
+  std::uint64_t pieces = 0, surface = 0;
+  for (const GroupTimeline& g : table.groups) {
+    pieces += g.session_pieces;
+    surface += g.online.piece_count() + g.ideal.piece_count() +
+               g.hedge.piece_count() +
+               (g.durable ? g.durable->piece_count() : 0);
+  }
   obs::Registry& registry = obs::Registry::global();
   const std::pair<const char*, std::uint64_t> totals[] = {
       {"serve.session_pieces", pieces},
+      {"serve.surface_pieces", surface},
       {"serve.requests", report.requests},
       {"serve.unserved", report.unserved},
       {"serve.slo_misses", report.slo_misses},
@@ -705,6 +700,10 @@ void validate(const ServingConfig& config) {
     throw ConfigError("serving: crypto_op_cost must be >= 0");
   if (config.slo < 0)
     throw ConfigError("serving: slo must be >= 0");
+  if (config.workload.horizon_days * interval::kDaySeconds >
+      std::numeric_limits<std::uint32_t>::max())
+    throw ConfigError(
+        "serving: horizon_days must be <= 49710 (surfaces are 32-bit)");
 }
 
 ServingReport run_serving_study(const trace::Dataset& dataset,

@@ -29,6 +29,12 @@
 //     own group is realized, from the same member runs as the group's
 //     read surface: no session is realized twice.
 //
+// Every referenced profile's group is realized once per run, before any
+// request, into a read-only group table. Its surfaces (read, advertised,
+// hedge, durable) are stored as 32-bit absolute horizon seconds
+// (interval::PackedSet), half the size of 64-bit intervals; that is why
+// the horizon is bounded by UINT32_MAX seconds (49,710 days).
+//
 // A DECENT-style crypto-cost knob taxes every object operation: reads add
 // one op, feeds one per friend profile, writes 1 + |selection| ops
 // (encrypt plus per-replica key distribution), modeling per-op
@@ -159,7 +165,8 @@ struct ServingConfig {
   std::size_t served_users = 0;
 };
 
-/// Throws ConfigError on out-of-range knobs.
+/// Throws ConfigError on out-of-range knobs, including a horizon whose
+/// seconds exceed UINT32_MAX (more than 49,710 days).
 void validate(const ServingConfig& config);
 
 /// Aggregate over one request kind.

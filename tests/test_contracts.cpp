@@ -13,6 +13,7 @@
 #include "graph/social_graph.hpp"
 #include "interval/day_schedule.hpp"
 #include "interval/interval_set.hpp"
+#include "interval/packed_set.hpp"
 #include "net/event_queue.hpp"
 #include "net/scenario.hpp"
 #include "net/social_dht.hpp"
@@ -118,6 +119,24 @@ TEST(IntervalContracts, SortedRunUnionRejectsUnsortedRunsAndEmptyPieces) {
   EXPECT_THROW(build({{{10, 20}, {20, 20}}}), ContractError);  // empty piece
   EXPECT_THROW(build({{{10, 5}}}), ContractError);             // reversed
   EXPECT_NO_THROW(build({{{50, 60}}, {{10, 20}, {10, 40}}}));
+}
+
+TEST(IntervalContracts, PackedSetRejectsPiecesBeyond32Bits) {
+  using interval::IntervalSet;
+  using interval::PackedSet;
+  constexpr interval::Seconds k2to32 = interval::Seconds{1} << 32;
+  EXPECT_THROW(PackedSet{IntervalSet::single(10, k2to32).pieces()},
+               ContractError);
+  EXPECT_THROW(PackedSet{IntervalSet::single(-1, 10).pieces()},
+               ContractError);
+  // The builder's packed output carries the same check.
+  interval::SortedRunUnion builder;
+  builder.pieces().push_back({k2to32 - 5, k2to32});
+  EXPECT_THROW(builder.build_packed(), ContractError);
+  // Ending at UINT32_MAX itself fits, and the empty set has no bound.
+  const PackedSet widest{IntervalSet::single(0, k2to32 - 1).pieces()};
+  EXPECT_EQ(widest.measure(), k2to32 - 1);
+  EXPECT_NO_THROW(PackedSet{IntervalSet{}.pieces()});
 }
 
 // ----------------------------------------------------------------- graph
@@ -625,6 +644,16 @@ TEST(RegimeContracts, ServingConfigRejectsRegimeUnderUnconRep) {
   config = {};
   config.super_peer.max_storekeepers = 65;
   EXPECT_THROW(serve::validate(config), ConfigError);
+}
+
+TEST(ServingContracts, HorizonBeyond32BitSecondsFires) {
+  // Surfaces are stored in 32-bit seconds: 49,710 days is the last
+  // horizon whose every instant fits. Only validate runs here.
+  serve::ServingConfig config;
+  config.workload.horizon_days = 49'711;
+  EXPECT_THROW(serve::validate(config), ConfigError);
+  config.workload.horizon_days = 49'710;
+  EXPECT_NO_THROW(serve::validate(config));
 }
 
 }  // namespace

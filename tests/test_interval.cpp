@@ -1,4 +1,5 @@
-// Unit tests for IntervalSet algebra and the sorted-run union builder.
+// Unit tests for IntervalSet algebra, the sorted-run union builder and
+// its 32-bit packed output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,6 +7,7 @@
 
 #include "interval/day_schedule.hpp"
 #include "interval/interval_set.hpp"
+#include "interval/packed_set.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -231,14 +233,45 @@ TEST(IntervalSet, CanonicalInvariantUnderRandomAdds) {
 
 using Runs = std::vector<std::vector<Interval>>;
 
-/// The builder's result for `runs`, appended run by run.
-IntervalSet build_runs(SortedRunUnion& builder, const Runs& runs) {
+/// The builder holding `runs`, appended run by run.
+SortedRunUnion& append_runs(SortedRunUnion& builder, const Runs& runs) {
   for (const auto& run : runs) {
     auto& pieces = builder.pieces();
     pieces.insert(pieces.end(), run.begin(), run.end());
     builder.end_run();
   }
-  return builder.build();
+  return builder;
+}
+
+IntervalSet build_runs(SortedRunUnion& builder, const Runs& runs) {
+  return append_runs(builder, runs).build();
+}
+
+/// The packed build of `runs` holds `expected`'s pieces and answers
+/// next_at_or_after as it does: at every piece start and end, inside every
+/// gap, and before the first and after the last piece.
+void expect_packed_matches(SortedRunUnion& builder, const Runs& runs,
+                           const IntervalSet& expected) {
+  const PackedSet packed = append_runs(builder, runs).build_packed();
+  ASSERT_EQ(packed.piece_count(), expected.piece_count());
+  EXPECT_EQ(packed.measure(), expected.measure());
+  std::vector<Seconds> probes{-1, 0};
+  for (std::size_t i = 0; i < packed.piece_count(); ++i) {
+    const Interval& want = expected.pieces()[i];
+    const PackedSet::Piece& got = packed.pieces()[i];
+    EXPECT_EQ(Seconds{got.start}, want.start) << "piece " << i;
+    EXPECT_EQ(Seconds{got.end}, want.end) << "piece " << i;
+    // The end is the first instant of the gap after the piece; the
+    // midpoint lies inside that gap (or past the last piece).
+    const Seconds next = i + 1 < packed.piece_count()
+                             ? expected.pieces()[i + 1].start
+                             : want.end + 100;
+    probes.insert(probes.end(), {want.start - 1, want.start, want.end - 1,
+                                 want.end, (want.end + next) / 2});
+  }
+  for (const Seconds t : probes)
+    EXPECT_EQ(packed.next_at_or_after(t), expected.next_at_or_after(t))
+        << "t = " << t << " in " << expected.to_string();
 }
 
 /// The reference: every piece of every run normalized in one constructor.
@@ -268,6 +301,7 @@ TEST(SortedRunUnion, EdgeShapesMatchTheConstructor) {
     const IntervalSet got = build_runs(builder, runs);
     EXPECT_EQ(got, normalize_runs(runs)) << got.to_string();
     EXPECT_TRUE(got.is_canonical());
+    expect_packed_matches(builder, runs, normalize_runs(runs));
   }
 }
 
@@ -290,6 +324,7 @@ TEST(SortedRunUnion, RandomRunsMatchTheConstructor) {
     }
     const IntervalSet got = build_runs(builder, runs);
     ASSERT_EQ(got, normalize_runs(runs)) << "round " << round;
+    expect_packed_matches(builder, runs, got);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -651,7 +652,9 @@ TEST(ServingTest, SessionPiecesCountEachRealizationOnce) {
   // realizes comes from a group's faulted injector, and a writer's durable
   // surface reuses its group's runs, so serve.session_pieces equals
   // net.fault.session_pieces. A resilient run also realizes the unfaulted
-  // (advertised) surfaces and counts those pieces too.
+  // (advertised) surfaces and counts those pieces too. The pieces the
+  // group table stores (serve.surface_pieces) are as thread-count
+  // invariant, and the advertised surfaces add to them.
   const auto input = small_input();
   auto config = small_config();
   config.workload.read_fraction = 0.0;
@@ -661,25 +664,33 @@ TEST(ServingTest, SessionPiecesCountEachRealizationOnce) {
   obs::Counter& serve = obs::Registry::global().counter("serve.session_pieces");
   obs::Counter& fault =
       obs::Registry::global().counter("net.fault.session_pieces");
+  obs::Counter& surface =
+      obs::Registry::global().counter("serve.surface_pieces");
   const auto added = [&](const ServingConfig& c, std::size_t threads) {
     util::ThreadPool pool(threads);
     const std::uint64_t serve_before = serve.value();
     const std::uint64_t fault_before = fault.value();
+    const std::uint64_t surface_before = surface.value();
     const auto report = run_serving_study(input.dataset, input.schedules,
                                           input.cohort, 11, c, &pool);
     EXPECT_GT(report.write.requests, 0u);
-    return std::pair{serve.value() - serve_before,
-                     fault.value() - fault_before};
+    return std::tuple{serve.value() - serve_before,
+                      fault.value() - fault_before,
+                      surface.value() - surface_before};
   };
   const auto serial = added(config, 1);
-  EXPECT_GT(serial.first, 0u);
-  EXPECT_EQ(serial.first, serial.second);
+  const auto [serial_pieces, serial_fault, serial_surface] = serial;
+  EXPECT_GT(serial_pieces, 0u);
+  EXPECT_EQ(serial_pieces, serial_fault);
+  EXPECT_GT(serial_surface, 0u);
   EXPECT_EQ(added(config, 4), serial);
 
   config.resilience = full_resilience();
   const auto resilient = added(config, 4);
-  EXPECT_EQ(resilient.second, serial.second);
-  EXPECT_GT(resilient.first, resilient.second);
+  const auto [pieces, fault_pieces, surface_pieces] = resilient;
+  EXPECT_EQ(fault_pieces, serial_fault);
+  EXPECT_GT(pieces, fault_pieces);
+  EXPECT_GT(surface_pieces, serial_surface);
   EXPECT_EQ(added(config, 1), resilient);
   obs::set_enabled(was_enabled);
 }
