@@ -160,9 +160,9 @@ BENCHMARK_CAPTURE(BM_UserTablePrefixes, unconrep,
     ->Arg(64)
     ->Arg(130);
 
-// MaxAv greedy set cover: full-rescan reference vs the CELF lazy greedy
-// (identical selections; the second argument toggles the implementation).
-void maxav_select_impl(benchmark::State& state, bool lazy) {
+// MaxAv greedy set cover (the CELF lazy greedy) over random schedules; the
+// argument is the candidate count.
+void BM_MaxAvSelect(benchmark::State& state) {
   dosn::util::Rng rng(4);
   const auto candidates_count = static_cast<std::size_t>(state.range(0));
   std::vector<DaySchedule> schedules;
@@ -173,9 +173,7 @@ void maxav_select_impl(benchmark::State& state, bool lazy) {
     candidates.push_back(static_cast<dosn::graph::UserId>(i + 1));
   }
   dosn::trace::ActivityTrace trace(candidates_count + 1, {});
-  dosn::placement::MaxAvPolicy policy(
-      dosn::placement::MaxAvObjective::kAvailability,
-      /*conrep_least_overlap=*/false, lazy);
+  dosn::placement::MaxAvPolicy policy;
   dosn::placement::PlacementContext ctx;
   ctx.user = 0;
   ctx.candidates = candidates;
@@ -185,16 +183,7 @@ void maxav_select_impl(benchmark::State& state, bool lazy) {
   ctx.max_replicas = 10;
   for (auto _ : state) benchmark::DoNotOptimize(policy.select(ctx, rng));
 }
-
-void BM_MaxAvSelect(benchmark::State& state) {
-  maxav_select_impl(state, /*lazy=*/false);
-}
 BENCHMARK(BM_MaxAvSelect)->Arg(10)->Arg(40)->Arg(160);
-
-void BM_MaxAvSelectLazy(benchmark::State& state) {
-  maxav_select_impl(state, /*lazy=*/true);
-}
-BENCHMARK(BM_MaxAvSelectLazy)->Arg(10)->Arg(40)->Arg(160);
 
 // One ConRep selection per iteration through a reused PlacementScratch,
 // as the study engine's shards run them: a warmed select allocates

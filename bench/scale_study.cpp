@@ -3,15 +3,16 @@
 // BENCH_scale.json.
 //
 // Per population size the harness measures
-//   * gen_ms           — serial chunked dataset construction (graph + all
-//                        schedules + the cohort-restricted trace; the full
-//                        activity trace is never materialized);
-//   * gen_pipelined_ms — the same construction as a pipeline on the shared
-//                        work-stealing runtime (producer thread + SPSC
-//                        chunk queue + parallel fold stages, DESIGN.md
-//                        §12). Its output is checksummed against the
-//                        serial build — bit-identity is part of
-//                        outputs_identical;
+//   * gen_ms           — chunked dataset construction with one fold
+//                        worker (graph + all schedules + the
+//                        cohort-restricted trace; the full activity trace
+//                        is never materialized);
+//   * gen_pipelined_ms — the same construction with the fold stages fanned
+//                        out over the shared work-stealing runtime (both
+//                        builds run the producer thread + SPSC chunk
+//                        queue of DESIGN.md §12). Its output is
+//                        checksummed against the one-worker build —
+//                        bit-identity is part of outputs_identical;
 //   * sweep times      — the same replication sweep run serial (threads =
 //                        1), parallel on the shared pool, and parallel
 //                        with a different shard size. The three sweep
@@ -198,8 +199,7 @@ int main() {
     opts.users = users;
     config.preset = dosn::synth::scale_preset(opts);
 
-    // Serial generation: the reference build (and the reference timing —
-    // generation as a serial prefix).
+    // One-worker generation: the reference build and timing.
     std::uint64_t serial_gen_checksum = 0;
     {
       const auto gen_start = Clock::now();
@@ -210,9 +210,8 @@ int main() {
     }
     s.gen_peak_rss_mb = dosn::bench::peak_rss_mb();
 
-    // Pipelined generation on the shared runtime: producer thread + SPSC
-    // chunk queue + parallel fold stages. Must rebuild the serial input
-    // bit for bit.
+    // Generation with the fold stages on the shared runtime. Must rebuild
+    // the one-worker input bit for bit.
     const auto gen_pipelined_start = Clock::now();
     const auto input =
         dosn::synth::build_scale_study_input(config, seed, &pool.runtime());

@@ -2,15 +2,15 @@
 // replication sweep on a ~5k-user synthetic dataset, written to
 // BENCH_study_engine.json.
 //
-// Four runs are timed on identical work (the deterministic MaxAv policy,
+// Three runs are timed on identical work (the deterministic MaxAv policy,
 // so every run must produce the same curves):
 //   * seed      — the pre-change engine, reproduced locally below: serial
-//                 cohort loop, full-rescan eager MaxAv, and a full
-//                 re-evaluation (seed_evaluate_user, with the original
-//                 batch delay graph) of every replication prefix 0..k;
-//   * eager     — the current engine (incremental prefix evaluation) with
-//                 eager MaxAv, serial;
-//   * lazy      — the current engine with CELF lazy-greedy MaxAv, serial;
+//                 cohort loop, placement through the library's MaxAv
+//                 policy, and a full re-evaluation (seed_evaluate_user,
+//                 with the original batch delay graph) of every
+//                 replication prefix 0..k;
+//   * lazy      — the current engine (incremental prefix evaluation),
+//                 serial;
 //   * parallel  — lazy plus the deterministic thread pool at DOSN_THREADS
 //                 (or hardware concurrency) workers.
 // The sweep outputs of all runs are checksummed and must agree exactly —
@@ -134,9 +134,8 @@ SweepResult seed_engine_replication_sweep(
     result.xs.push_back(static_cast<double>(k));
 
   for (const auto kind : options.policies) {
-    dosn::placement::PolicyParams pparams = options.policy_params;
-    pparams.maxav_lazy = false;
-    const auto policy = dosn::placement::make_policy(kind, pparams);
+    const auto policy =
+        dosn::placement::make_policy(kind, options.policy_params);
     dosn::util::Rng rng(seed);  // one shared stream, as before
 
     // Running means per k, in cohort order (mirrors the engine's reducer).
@@ -189,7 +188,7 @@ struct Scenario {
   std::string name;
   std::size_t cohort_degree = 10;
   std::size_t k_max = 10;
-  double seed_ms = 0, eager_ms = 0, lazy_ms = 0, parallel_ms = 0;
+  double seed_ms = 0, lazy_ms = 0, parallel_ms = 0;
   std::size_t cohort_size = 0;
   bool identical = false;
 };
@@ -232,32 +231,29 @@ int main() {
     options.policies = {dosn::placement::PolicyKind::kMaxAv};
     s.cohort_size = study.cohort(s.cohort_degree).size();
 
-    const auto sweep_with = [&](std::size_t nthreads, bool lazy) {
+    const auto sweep_with = [&](std::size_t nthreads) {
       Study::Options o = options;
       o.threads = nthreads;
-      o.policy_params.maxav_lazy = lazy;
       return study.replication_sweep(
           dosn::onlinetime::ModelKind::kSporadic, {},
           dosn::placement::Connectivity::kConRep, o);
     };
 
-    SweepResult seed_out, eager_out, lazy_out, parallel_out;
+    SweepResult seed_out, lazy_out, parallel_out;
     s.seed_ms = run_ms(
         [&] {
           return seed_engine_replication_sweep(
               dataset, seed, dosn::placement::Connectivity::kConRep, options);
         },
         seed_out);
-    s.eager_ms = run_ms([&] { return sweep_with(1, false); }, eager_out);
-    s.lazy_ms = run_ms([&] { return sweep_with(1, true); }, lazy_out);
-    s.parallel_ms =
-        run_ms([&] { return sweep_with(threads, true); }, parallel_out);
+    s.lazy_ms = run_ms([&] { return sweep_with(1); }, lazy_out);
+    s.parallel_ms = run_ms([&] { return sweep_with(threads); }, parallel_out);
     // NOLINTNEXTLINE(concurrency-mt-unsafe) — serial section between runs.
     if (const char* dbg = std::getenv("DOSN_BENCH_DEBUG"); dbg && *dbg) {
       for (std::size_t p = 0; p < seed_out.policies.size(); ++p)
         for (std::size_t k = 0; k < seed_out.policies[p].points.size(); ++k) {
           const auto& a = seed_out.policies[p].points[k];
-          const auto& b = eager_out.policies[p].points[k];
+          const auto& b = lazy_out.policies[p].points[k];
           if (a.availability != b.availability ||
               a.aod_time != b.aod_time ||
               a.aod_activity != b.aod_activity ||
@@ -271,14 +267,13 @@ int main() {
                 b.delay_actual_h, a.replicas_used, b.replicas_used);
         }
     }
-    s.identical = checksum(seed_out) == checksum(eager_out) &&
-                  checksum(seed_out) == checksum(lazy_out) &&
+    s.identical = checksum(seed_out) == checksum(lazy_out) &&
                   checksum(seed_out) == checksum(parallel_out);
 
     std::printf(
-        "%-32s cohort=%zu  seed=%.1fms  eager=%.1fms  lazy=%.1fms  "
+        "%-32s cohort=%zu  seed=%.1fms  lazy=%.1fms  "
         "parallel(%zu)=%.1fms  speedup=%.2fx  identical=%s\n",
-        s.name.c_str(), s.cohort_size, s.seed_ms, s.eager_ms, s.lazy_ms,
+        s.name.c_str(), s.cohort_size, s.seed_ms, s.lazy_ms,
         threads, s.parallel_ms, s.seed_ms / s.parallel_ms,
         s.identical ? "yes" : "NO");
   }
@@ -307,7 +302,6 @@ int main() {
           w.field("cohort_size", static_cast<std::uint64_t>(s.cohort_size));
           w.field("k_max", static_cast<std::uint64_t>(s.k_max));
           w.field("seed_engine_ms", s.seed_ms);
-          w.field("incremental_eager_ms", s.eager_ms);
           w.field("incremental_lazy_ms", s.lazy_ms);
           w.field("parallel_lazy_ms", s.parallel_ms);
           w.field("speedup_vs_seed", s.seed_ms / s.parallel_ms);

@@ -186,11 +186,6 @@ IntervalSet IntervalSet::subtract(const IntervalSet& other) const {
   return out;
 }
 
-IntervalSet IntervalSet::complement(Seconds lo, Seconds hi) const {
-  DOSN_REQUIRE(lo < hi, "complement: empty window");
-  return IntervalSet::single(lo, hi).subtract(*this);
-}
-
 Seconds IntervalSet::intersection_measure(const IntervalSet& other) const {
   Seconds total = 0;
   auto a = intervals_.begin();
@@ -207,17 +202,6 @@ Seconds IntervalSet::intersection_measure(const IntervalSet& other) const {
   return total;
 }
 
-Seconds IntervalSet::measure_within(Seconds lo, Seconds hi) const {
-  if (lo >= hi) return 0;
-  Seconds total = 0;
-  for (const auto& iv : intervals_) {
-    const Seconds a = std::max(iv.start, lo);
-    const Seconds b = std::min(iv.end, hi);
-    if (a < b) total += b - a;
-  }
-  return total;
-}
-
 IntervalSet IntervalSet::clip(Seconds lo, Seconds hi) const {
   IntervalSet out;
   if (lo >= hi) return out;
@@ -226,14 +210,6 @@ IntervalSet IntervalSet::clip(Seconds lo, Seconds hi) const {
     const Seconds b = std::min(iv.end, hi);
     if (a < b) out.intervals_.push_back({a, b});
   }
-  return out;
-}
-
-IntervalSet IntervalSet::shift(Seconds delta) const {
-  IntervalSet out;
-  out.intervals_.reserve(intervals_.size());
-  for (const auto& iv : intervals_)
-    out.intervals_.push_back({iv.start + delta, iv.end + delta});
   return out;
 }
 

@@ -44,7 +44,6 @@ class IntervalSet {
   explicit IntervalSet(std::vector<Interval> intervals);
 
   static IntervalSet single(Seconds start, Seconds end);
-  static IntervalSet empty_set() { return IntervalSet{}; }
 
   /// Inserts one interval, merging as needed. Amortized O(n).
   void add(Seconds start, Seconds end);
@@ -90,20 +89,11 @@ class IntervalSet {
   /// Exactly `subtract(other).measure()`; allocation-free.
   Seconds subtract_measure(const IntervalSet& other) const;
 
-  /// Complement within the window [lo, hi).
-  IntervalSet complement(Seconds lo, Seconds hi) const;
-
   /// Measure of the intersection, without materializing it.
   Seconds intersection_measure(const IntervalSet& other) const;
 
-  /// Measure of this set restricted to [lo, hi).
-  Seconds measure_within(Seconds lo, Seconds hi) const;
-
   /// Copy restricted to [lo, hi).
   IntervalSet clip(Seconds lo, Seconds hi) const;
-
-  /// Copy with every instant shifted by delta (may be negative).
-  IntervalSet shift(Seconds delta) const;
 
   friend bool operator==(const IntervalSet&, const IntervalSet&) = default;
 

@@ -18,7 +18,7 @@ inline constexpr std::int64_t kSelectedKBounds[] = {0, 1, 2, 3, 4, 6, 8, 12};
 struct PlacementMetrics {
   obs::Counter& selections =
       obs::Registry::global().counter("placement.maxav.selections");
-  /// Marginal-gain oracle invocations (eager rescans + CELF recomputes).
+  /// Marginal-gain oracle invocations (initial scan + CELF recomputes).
   obs::Counter& gain_evals =
       obs::Registry::global().counter("placement.maxav.gain_evals");
   /// CELF picks accepted straight off the heap without recomputation.
@@ -43,11 +43,11 @@ PlacementMetrics& placement_metrics() {
 // through the same greedy skeleton, abstracted as an oracle:
 //   gain(i)    — marginal coverage candidate i adds to the covered set;
 //   overlap(i) — measure of candidate i's schedule already covered (the
-//                ConRep least-overlap tie-break);
+//                ConRep least-overlap key);
 //   commit(i)  — fold candidate i into the covered set.
 // Coverage only grows, so gain(i) is non-increasing and overlap(i)
-// non-decreasing across rounds (submodularity) — the property the lazy
-// evaluation below relies on.
+// non-decreasing across rounds — the property the lazy evaluation below
+// relies on.
 
 struct ScheduleOracle {
   const PlacementContext& context;
@@ -93,60 +93,33 @@ struct ActivityOracle {
   }
 };
 
-/// Reference greedy: full rescan of every candidate per round. Used for the
-/// ConRep least-overlap rule (whose compound key does not cache as cheaply)
-/// and, via MaxAvPolicy's `lazy` switch, as the baseline the benchmarks and
-/// equivalence tests compare the CELF path against.
-template <typename Oracle>
-void greedy_eager(const PlacementContext& context, Oracle& oracle,
-                  bool by_overlap, PlacementScratch& scratch) {
-  std::uint64_t gain_evals = 0;
-
-  while (scratch.selection.size() < context.max_replicas) {
-    std::ptrdiff_t best = -1;
-    std::int64_t best_gain = 0;
-    std::int64_t best_overlap = 0;
-    for (std::size_t i = 0; i < context.candidates.size(); ++i) {
-      if (!scratch.eligible(i)) continue;
-      ++gain_evals;
-      const std::int64_t gain = oracle.gain(i);
-      if (gain <= 0) continue;
-      bool better = false;
-      if (by_overlap) {
-        const std::int64_t overlap = oracle.overlap(i);
-        better = best < 0 || overlap < best_overlap ||
-                 (overlap == best_overlap && gain > best_gain);
-        if (better) best_overlap = overlap;
-      } else {
-        better = gain > best_gain;
-      }
-      if (better) {
-        best = static_cast<std::ptrdiff_t>(i);
-        best_gain = gain;
-      }
-    }
-    if (best < 0) break;  // no candidate improves coverage (or none connected)
-    oracle.commit(static_cast<std::size_t>(best));
-    scratch.take(context, static_cast<std::size_t>(best));
-  }
-  placement_metrics().gain_evals.add(gain_evals);
-}
-
-/// CELF lazy-greedy (Leskovec et al., "Cost-effective Outbreak Detection"):
-/// pop the largest cached gain; if it was computed this round it is exact
-/// and beats every other upper bound, so select it without rescanning;
-/// otherwise recompute, reinsert, repeat. Candidates whose recomputed gain
-/// drops to zero are discarded permanently (gains never recover), while
+/// CELF lazy greedy (Leskovec et al., "Cost-effective Outbreak Detection")
+/// for both selection rules. The heap orders entries by their cached key:
+/// larger gain first under the max-gain rule; under `ByOverlap` (the ConRep
+/// least-overlap rule) smaller overlap first, then larger gain. Lower index
+/// breaks the remaining ties, so the order is the full rescan's "first best
+/// candidate". Since a gain never rises and an overlap never falls, a
+/// cached key is never worse than the current one. A popped entry computed
+/// this round is therefore exact and beats every other bound, so it is
+/// picked without rescanning; otherwise both gain and overlap are
+/// recomputed and the entry reinserted. Candidates whose gain drops to zero
+/// are discarded permanently (gains never recover), while
 /// ConRep-disconnected candidates are parked for the round and re-enter the
 /// heap afterwards (the frontier can connect them after the next pick).
-/// Produces bit-identical selections to greedy_eager.
-template <typename Oracle>
+/// The overlap bounds live per candidate in scratch.overlap, so the
+/// max-gain heap keeps its 24-byte entries.
+template <bool ByOverlap, typename Oracle>
 void greedy_lazy(const PlacementContext& context, Oracle& oracle,
                  PlacementScratch& scratch) {
-  // Max-heap order: larger gain, then lower index — the eager scan's "first
-  // strict maximum" tie-break. No index is in the heap twice, so the order
-  // is total and the pops do not depend on the heap's layout.
-  const auto less = [](const detail::LazyEntry& a, const detail::LazyEntry& b) {
+  std::vector<std::int64_t>& overlap = scratch.overlap;
+  // No index is in the heap twice, so the order is total and the pops do
+  // not depend on the heap's layout.
+  const auto less = [&](const detail::LazyEntry& a,
+                        const detail::LazyEntry& b) {
+    if constexpr (ByOverlap) {
+      if (overlap[a.index] != overlap[b.index])
+        return overlap[a.index] > overlap[b.index];
+    }
     return a.gain != b.gain ? a.gain < b.gain : a.index > b.index;
   };
 
@@ -161,10 +134,14 @@ void greedy_lazy(const PlacementContext& context, Oracle& oracle,
   heap.reserve(context.candidates.size());
   parked.clear();
   parked.reserve(context.candidates.size());
+  // Read only at indices in the heap, each written before it is pushed.
+  if constexpr (ByOverlap) overlap.resize(context.candidates.size());
   for (std::size_t i = 0; i < context.candidates.size(); ++i) {
     ++gain_evals;
     const std::int64_t gain = oracle.gain(i);
-    if (gain > 0) heap.push_back({gain, i, 0});
+    if (gain <= 0) continue;
+    if constexpr (ByOverlap) overlap[i] = oracle.overlap(i);
+    heap.push_back({gain, i, 0});
   }
   std::make_heap(heap.begin(), heap.end(), less);
 
@@ -188,6 +165,7 @@ void greedy_lazy(const PlacementContext& context, Oracle& oracle,
       ++gain_evals;
       top.gain = oracle.gain(top.index);
       if (top.gain <= 0) continue;
+      if constexpr (ByOverlap) overlap[top.index] = oracle.overlap(top.index);
       top.stamp = scratch.selection.size();
       heap.push_back(top);
       std::push_heap(heap.begin(), heap.end(), less);
@@ -210,11 +188,8 @@ void greedy_lazy(const PlacementContext& context, Oracle& oracle,
 
 }  // namespace
 
-MaxAvPolicy::MaxAvPolicy(MaxAvObjective objective, bool conrep_least_overlap,
-                         bool lazy)
-    : objective_(objective),
-      conrep_least_overlap_(conrep_least_overlap),
-      lazy_(lazy) {}
+MaxAvPolicy::MaxAvPolicy(MaxAvObjective objective, bool conrep_least_overlap)
+    : objective_(objective), conrep_least_overlap_(conrep_least_overlap) {}
 
 std::string MaxAvPolicy::name() const {
   switch (objective_) {
@@ -231,10 +206,10 @@ void MaxAvPolicy::select_impl(const PlacementContext& context, util::Rng&,
                           context.connectivity == Connectivity::kConRep;
   scratch.start(context);
   const auto run = [&](auto oracle) {
-    if (lazy_ && !by_overlap)
-      greedy_lazy(context, oracle, scratch);
+    if (by_overlap)
+      greedy_lazy<true>(context, oracle, scratch);
     else
-      greedy_eager(context, oracle, by_overlap, scratch);
+      greedy_lazy<false>(context, oracle, scratch);
   };
   const IntervalSet& owner = context.schedule_of(context.user).set();
   if (objective_ == MaxAvObjective::kAoDActivity) {

@@ -22,17 +22,17 @@ namespace dosn::placement {
 /// every objective — for kAoDActivity the overlap is counted over covered
 /// activity instants.
 ///
-/// The default max-gain rule runs as a CELF-style lazy greedy: marginal
-/// gains are cached in a max-heap and only recomputed when a stale entry
-/// reaches the top. Because coverage only grows, cached gains are upper
-/// bounds (submodularity), so the lazy path selects exactly the same
-/// replicas as a full per-round rescan while skipping most gain
-/// evaluations. `lazy = false` forces the reference rescan implementation
-/// (used by the equivalence tests and the engine benchmarks).
+/// Both rules run as one CELF-style lazy greedy: each candidate's key
+/// (gain, plus overlap under the least-overlap rule) is cached in a heap
+/// and only recomputed when a stale entry reaches the top. Because coverage
+/// only grows, a gain never rises and an overlap never falls, so a cached
+/// key is never worse than the current one; the lazy greedy therefore
+/// selects exactly the replicas of a full per-round rescan (kept in
+/// tests/placement_oracle.cpp) while skipping most evaluations.
 class MaxAvPolicy final : public ReplicaPolicy {
  public:
   explicit MaxAvPolicy(MaxAvObjective objective = MaxAvObjective::kAvailability,
-                       bool conrep_least_overlap = false, bool lazy = true);
+                       bool conrep_least_overlap = false);
 
   std::string name() const override;
   void select_impl(const PlacementContext& context, util::Rng& rng,
@@ -41,7 +41,6 @@ class MaxAvPolicy final : public ReplicaPolicy {
  private:
   MaxAvObjective objective_;
   bool conrep_least_overlap_;
-  bool lazy_;
 };
 
 }  // namespace dosn::placement

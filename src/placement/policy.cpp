@@ -90,8 +90,7 @@ std::unique_ptr<ReplicaPolicy> make_policy(PolicyKind kind,
   switch (kind) {
     case PolicyKind::kMaxAv:
       return std::make_unique<MaxAvPolicy>(params.objective,
-                                           params.conrep_least_overlap,
-                                           params.maxav_lazy);
+                                           params.conrep_least_overlap);
     case PolicyKind::kMostActive:
       return std::make_unique<MostActivePolicy>();
     case PolicyKind::kRandom:

@@ -121,7 +121,8 @@ class ConnectivityFrontier {
   std::uint64_t tests_ = 0;
 };
 
-/// A CELF heap entry (placement/max_av.cpp).
+/// A CELF heap entry (placement/max_av.cpp). The least-overlap rule keeps
+/// its overlap bounds beside the heap, in PlacementScratch::overlap.
 struct LazyEntry {
   std::int64_t gain = 0;  ///< upper bound on the current marginal gain
   std::size_t index = 0;
@@ -150,6 +151,7 @@ struct PlacementScratch {
   std::vector<std::uint8_t> used;         ///< per candidate
   std::vector<detail::LazyEntry> heap;    ///< MaxAv CELF
   std::vector<detail::LazyEntry> parked;  ///< CELF: not connected yet
+  std::vector<std::int64_t> overlap;  ///< CELF least-overlap bounds
   /// MostActive: activity counts, the rank order and its zero-activity
   /// tail; Random's connected list (all by candidate index).
   std::vector<std::size_t> counts;
@@ -218,12 +220,9 @@ struct PolicyParams {
   MaxAvObjective objective = MaxAvObjective::kAvailability;
   /// ConRep tie-break: paper's literal phrasing picks, among connected
   /// candidates, the one whose schedule overlaps the covered set least;
-  /// the default picks the one adding the most uncovered time.
+  /// the default picks the one adding the most uncovered time. Both rules
+  /// run MaxAv's one CELF greedy (placement/max_av.hpp).
   bool conrep_least_overlap = false;
-  /// MaxAv implementation switch: CELF lazy greedy (default) or the
-  /// reference full-rescan greedy. Both produce identical selections;
-  /// `false` exists for benchmarks and equivalence tests.
-  bool maxav_lazy = true;
   /// Hybrid policy: weight of the activity component in [0, 1].
   double hybrid_alpha = 0.5;
 };

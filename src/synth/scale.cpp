@@ -33,7 +33,7 @@ ScalePipelineMetrics& pipeline_metrics() {
 }
 
 /// Everything build_scale_study_input derives before the activity stream
-/// starts, shared by the serial and pipelined folds.
+/// starts.
 struct FoldState {
   graph::SocialGraph graph;
   std::vector<bool> in_cohort;
@@ -58,56 +58,6 @@ struct FoldState {
   }
 };
 
-/// The reference fold: one chunk at a time on the calling thread, in
-/// exactly the order generate_activities_chunked emits it.
-void fold_chunks_serial(FoldState& state, const ScaleInputConfig& config,
-                        util::Rng& gen_rng) {
-  std::vector<Activity> mine;                // one creator, sorted
-  std::vector<interval::Interval> sessions;  // one creator's sessions
-
-  generate_activities_chunked(
-      state.graph, config.preset.activity, gen_rng, config.chunk_users,
-      [&](UserId first, UserId end, std::span<const Activity> chunk) {
-        state.total_activities += chunk.size();
-        pipeline_metrics().chunks.add(1);
-        // The chunk is grouped by creator in ascending order; walk the
-        // runs (creators without activities have empty runs).
-        std::size_t i = 0;
-        for (UserId u = first; u < end; ++u) {
-          const std::size_t begin = i;
-          while (i < chunk.size() && chunk[i].creator == u) ++i;
-          if (i == begin) continue;  // no activities: empty schedule
-
-          // SporadicModel draws one session offset per created activity
-          // in created_index order, which within one creator is
-          // (timestamp, then by_receiver rank) = (timestamp, receiver).
-          // Sorting the run by that key reproduces the draw order, so
-          // the schedule union is bit-identical to the model's.
-          mine.assign(chunk.begin() + static_cast<std::ptrdiff_t>(begin),
-                      chunk.begin() + static_cast<std::ptrdiff_t>(i));
-          std::sort(mine.begin(), mine.end(),
-                    [](const Activity& a, const Activity& b) {
-                      if (a.timestamp != b.timestamp)
-                        return a.timestamp < b.timestamp;
-                      return a.receiver < b.receiver;
-                    });
-          sessions.clear();
-          for (const Activity& a : mine) {
-            const auto offset = static_cast<Seconds>(state.sched_rng.below(
-                static_cast<std::uint64_t>(state.session)));
-            sessions.push_back(
-                {a.timestamp - offset, a.timestamp - offset + state.session});
-          }
-          state.schedules[u] = DaySchedule::project(sessions);
-
-          for (std::size_t j = begin; j < i; ++j)
-            if (state.in_cohort[chunk[j].receiver])
-              state.retained.push_back(chunk[j]);
-        }
-        DOSN_ASSERT(i == chunk.size());
-      });
-}
-
 /// One generator chunk in flight between the producer thread and the
 /// folding stages. Buffers cycle through a recycle queue so steady-state
 /// pipelining does not allocate.
@@ -117,18 +67,17 @@ struct GenChunk {
   std::vector<Activity> acts;
 };
 
-/// The pipelined fold: the activity generator runs on a producer thread
-/// feeding a bounded SPSC queue; each popped chunk is folded in four
-/// stages — (A) parallel argsort of every creator run by (timestamp,
-/// receiver), (B) serial session-offset draws walking runs in creator
-/// order and activities in sorted order (the exact sched_rng draw order
-/// of the serial fold), (C) parallel DaySchedule projection per run, and
-/// (D) the serial cohort-restricted append in original chunk order. The
-/// RNG streams and every order-sensitive append are untouched, so the
-/// result is bit-identical to fold_chunks_serial.
-void fold_chunks_pipelined(FoldState& state, const ScaleInputConfig& config,
-                           util::Rng& gen_rng,
-                           util::PipelineRuntime& runtime) {
+/// The fold: the activity generator runs on a producer thread feeding a
+/// bounded SPSC queue; each popped chunk is folded in four stages — (A)
+/// parallel argsort of every creator run by (timestamp, receiver), (B)
+/// serial session-offset draws walking runs in creator order and
+/// activities in sorted order (SporadicModel's draw order), (C) parallel
+/// DaySchedule projection per run, and (D) the serial cohort-restricted
+/// append in original chunk order. The RNG streams and every
+/// order-sensitive append are untouched, so the result does not depend on
+/// the runtime's width; on one worker, stages A and C run inline.
+void fold_chunks(FoldState& state, const ScaleInputConfig& config,
+                 util::Rng& gen_rng, util::PipelineRuntime& runtime) {
   const std::size_t queue_capacity =
       std::max<std::size_t>(1, config.pipeline_queue_capacity);
   util::SpscQueue<GenChunk> chunks(queue_capacity);
@@ -185,10 +134,12 @@ void fold_chunks_pipelined(FoldState& state, const ScaleInputConfig& config,
       order.resize(acts.size());
       sessions.resize(acts.size());
 
-      // Stage A (parallel): argsort each run by (timestamp, receiver) —
-      // the SporadicModel draw order. Ties are fully identical activities
-      // (same creator/receiver/timestamp), so any tie order yields the
-      // same sessions.
+      // Stage A (parallel): argsort each run by (timestamp, receiver).
+      // SporadicModel draws one session offset per created activity in
+      // created_index order, which within one creator is (timestamp, then
+      // by_receiver rank). Ties are fully identical activities (same
+      // creator/receiver/timestamp), so any tie order yields the same
+      // sessions.
       runtime.parallel_for_index(runs.size(), [&](std::size_t r) {
         const Run& run = runs[r];
         for (std::size_t j = run.begin; j < run.end; ++j)
@@ -203,7 +154,7 @@ void fold_chunks_pipelined(FoldState& state, const ScaleInputConfig& config,
       });
 
       // Stage B (serial): one offset per activity, runs in creator order,
-      // sorted order within a run — the serial fold's exact draw order.
+      // sorted order within a run — SporadicModel's exact draw order.
       for (const Run& run : runs) {
         for (std::size_t j = run.begin; j < run.end; ++j) {
           const Activity& a = acts[order[j]];
@@ -222,9 +173,8 @@ void fold_chunks_pipelined(FoldState& state, const ScaleInputConfig& config,
                 run.begin, run.end - run.begin));
       });
 
-      // Stage D (serial): cohort-restricted trace in original chunk order
-      // (chunks are creator-grouped, so this equals the serial fold's
-      // per-run append sequence).
+      // Stage D (serial): cohort-restricted trace in original chunk order,
+      // the generator's emission order.
       for (const Activity& a : acts)
         if (state.in_cohort[a.receiver]) state.retained.push_back(a);
 
@@ -273,10 +223,12 @@ ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
   out.cohort = graph::users_with_degree(g, out.cohort_degree);
 
   FoldState state(std::move(g), out.cohort, seed, config.session_length);
-  if (runtime != nullptr && runtime->thread_count() > 1)
-    fold_chunks_pipelined(state, config, gen_rng, *runtime);
-  else
-    fold_chunks_serial(state, config, gen_rng);
+  if (runtime != nullptr) {
+    fold_chunks(state, config, gen_rng, *runtime);
+  } else {
+    util::PipelineRuntime one_worker({.threads = 1});
+    fold_chunks(state, config, gen_rng, one_worker);
+  }
 
   out.total_activities = state.total_activities;
   out.dataset.name = config.preset.name;

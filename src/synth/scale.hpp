@@ -18,15 +18,17 @@
 // study engine's rep-0 schedule stream — so a Study sweep over this input
 // (the precomputed-schedules overload) is bit-identical to a Sporadic
 // model sweep on the materialized dataset.
-// Pipelined construction (DESIGN.md §12): the overload taking a
-// util::PipelineRuntime runs the activity generator on a dedicated
-// producer thread, hands chunks to the caller through a bounded
-// util::SpscQueue, and folds each chunk on the runtime's workers — the
-// per-creator argsort and DaySchedule projection parallelize, while the
-// two RNG streams and the retained-trace append stay serial in their
-// original draw/append order. The pipelined result is bit-identical to
-// the serial path (same test as above pins it), so generation stops being
-// a serial prefix of a scale study without weakening the contract.
+// Pipelined construction (DESIGN.md §12): every build runs the activity
+// generator on a dedicated producer thread, hands chunks to the folding
+// thread through a bounded util::SpscQueue, and folds each chunk on a
+// util::PipelineRuntime's workers — the per-creator argsort and
+// DaySchedule projection parallelize, while the two RNG streams and the
+// retained-trace append stay serial in their original draw/append order.
+// There is one fold: without a runtime it runs on a local one-worker
+// runtime, whose parallel stages run inline. The result is bit-identical
+// for every runtime width (the same test file pins it), so generation
+// stops being a serial prefix of a scale study without weakening the
+// contract.
 #pragma once
 
 #include "interval/day_schedule.hpp"
@@ -45,8 +47,8 @@ struct ScaleInputConfig {
   std::size_t cohort_degree = 0;
   /// Sporadic online-time model session length.
   interval::Seconds session_length = 20 * 60;
-  /// Generator→folder SPSC queue capacity (chunks in flight) for the
-  /// pipelined overload; bounds pipeline memory at roughly
+  /// Generator→folder SPSC queue capacity (chunks in flight); bounds
+  /// pipeline memory at roughly
   /// `pipeline_queue_capacity · chunk_users · mean_activities` activities.
   std::size_t pipeline_queue_capacity = 2;
 };
@@ -67,14 +69,14 @@ struct ScaleStudyInput {
   std::string model_name;
 };
 
-/// Builds the streaming-study input for `config.preset` from one seed.
+/// Builds the streaming-study input for `config.preset` from one seed, on
+/// one fold worker.
 ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
                                         std::uint64_t seed);
 
-/// Same result, built as a pipeline on `runtime`: generation overlaps
-/// chunk folding, and the per-chunk sort/projection stages fan out over
-/// the runtime's workers. A null or single-threaded runtime falls back to
-/// the serial path; every configuration is bit-identical.
+/// Same result, with the per-chunk sort/projection stages fanned out over
+/// `runtime`'s workers. A null runtime means one local worker; every
+/// configuration is bit-identical.
 ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
                                         std::uint64_t seed,
                                         util::PipelineRuntime* runtime);

@@ -58,9 +58,6 @@ struct RuntimeOptions {
   /// small enough to rebalance stragglers, large enough to amortize
   /// deque traffic.
   std::size_t steal_grain = 0;
-  /// Default capacity (elements in flight) for SPSC stage queues built
-  /// for this runtime's pipelines; bounds pipeline memory.
-  std::size_t queue_capacity = 4;
 };
 
 class PipelineRuntime {
@@ -72,7 +69,6 @@ class PipelineRuntime {
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
 
   std::size_t thread_count() const { return threads_; }
-  std::size_t queue_capacity() const { return options_.queue_capacity; }
 
   /// Per-job execution stats (also accumulated into obs counters).
   struct JobStats {

@@ -446,7 +446,7 @@ std::vector<UserId> select(PolicyKind kind, const PolicyParams& params,
   switch (kind) {
     case PolicyKind::kMaxAv:
       return max_av(context, params.objective, params.conrep_least_overlap,
-                    params.maxav_lazy);
+                    /*lazy=*/true);
     case PolicyKind::kMostActive: return most_active(context, rng);
     case PolicyKind::kRandom: return random_replicas(context, rng);
     case PolicyKind::kCoreGroup: return core_group(context);

@@ -101,7 +101,7 @@ TEST_P(FuzzSeeds, IntervalAlgebraMatchesPointSet) {
 
     const Seconds lo = rng.range(0, kUniverse - 2);
     const Seconds hi = rng.range(lo + 1, kUniverse);
-    EXPECT_EQ(static_cast<std::size_t>(a.measure_within(lo, hi)),
+    EXPECT_EQ(static_cast<std::size_t>(a.clip(lo, hi).measure()),
               pa.intersect(PointSet::of(IntervalSet::single(lo, hi))).size());
   }
 }

@@ -114,14 +114,6 @@ TEST(IntervalSet, SubtractDisjointIsIdentity) {
   EXPECT_EQ(a.subtract(b), a);
 }
 
-TEST(IntervalSet, ComplementWithinWindow) {
-  auto a = make({{10, 20}, {40, 50}});
-  auto c = a.complement(0, 60);
-  EXPECT_EQ(c, make({{0, 10}, {20, 40}, {50, 60}}));
-  // Complement twice returns the clip of the original.
-  EXPECT_EQ(c.complement(0, 60), a);
-}
-
 TEST(IntervalSet, NextAtOrAfter) {
   auto s = make({{10, 20}, {40, 50}});
   EXPECT_EQ(s.next_at_or_after(0), 10);
@@ -131,19 +123,12 @@ TEST(IntervalSet, NextAtOrAfter) {
   EXPECT_EQ(s.next_at_or_after(50), std::nullopt);
 }
 
-TEST(IntervalSet, MeasureWithin) {
-  auto s = make({{10, 20}, {40, 50}});
-  EXPECT_EQ(s.measure_within(0, 100), 20);
-  EXPECT_EQ(s.measure_within(15, 45), 10);
-  EXPECT_EQ(s.measure_within(20, 40), 0);
-  EXPECT_EQ(s.measure_within(50, 10), 0);  // inverted window
-}
-
-TEST(IntervalSet, ClipAndShift) {
+TEST(IntervalSet, ClipRestrictsToWindow) {
   auto s = make({{10, 20}, {40, 50}});
   EXPECT_EQ(s.clip(15, 45), make({{15, 20}, {40, 45}}));
-  EXPECT_EQ(s.shift(100), make({{110, 120}, {140, 150}}));
-  EXPECT_EQ(s.shift(-10), make({{0, 10}, {30, 40}}));
+  EXPECT_EQ(s.clip(0, 100).measure(), 20);
+  EXPECT_TRUE(s.clip(20, 40).empty());
+  EXPECT_TRUE(s.clip(50, 10).empty());  // inverted window
 }
 
 TEST(IntervalSet, LastEnd) {
@@ -189,8 +174,8 @@ TEST_P(IntervalAlgebra, DeMorganAndMeasureInvariants) {
     // |A| + |B| = |A∪B| + |A∩B|
     EXPECT_EQ(a.measure() + b.measure(),
               a.unite(b).measure() + a.intersect(b).measure());
-    // A − B = A ∩ complement(B)
-    const auto window_complement = b.complement(0, 2000);
+    // A − B = A ∩ complement(B), the complement taken within [0, 2000)
+    const auto window_complement = IntervalSet::single(0, 2000).subtract(b);
     EXPECT_EQ(a.subtract(b), a.intersect(window_complement));
     // (A ∪ B) − B = A − B
     EXPECT_EQ(a.unite(b).subtract(b), a.subtract(b));

@@ -8,6 +8,7 @@
 #include "placement/most_active.hpp"
 #include "placement/policy.hpp"
 #include "placement/random.hpp"
+#include "placement_oracle.hpp"
 #include "util/error.hpp"
 
 namespace dosn::placement {
@@ -247,20 +248,23 @@ TEST(MaxAv, ConRepNoConnectedCandidateSelectsNothing) {
   MaxAvPolicy policy;
   EXPECT_TRUE(
       policy.select(f.context(0, Connectivity::kConRep, 2), rng).empty());
-  MaxAvPolicy eager(MaxAvObjective::kAvailability, false, /*lazy=*/false);
+  MaxAvPolicy least(MaxAvObjective::kAvailability,
+                    /*conrep_least_overlap=*/true);
   EXPECT_TRUE(
-      eager.select(f.context(0, Connectivity::kConRep, 2), rng).empty());
+      least.select(f.context(0, Connectivity::kConRep, 2), rng).empty());
 }
 
 // The CELF lazy greedy must select exactly what the reference full-rescan
-// greedy selects, for every objective and connectivity regime, on random
-// instances (including empty schedules, duplicates, and activity traces).
+// greedy (tests/placement_oracle.cpp) selects, for every objective,
+// connectivity regime and ConRep rule (max gain or least overlap), on
+// random instances (including empty schedules, duplicates, and activity
+// traces).
 class LazyEagerEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<MaxAvObjective, Connectivity>> {};
+          std::tuple<MaxAvObjective, Connectivity, bool>> {};
 
 TEST_P(LazyEagerEquivalence, SelectionsAreIdentical) {
-  const auto [objective, conn] = GetParam();
+  const auto [objective, conn, least_overlap] = GetParam();
   constexpr interval::Seconds kDay = 24 * kH;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     util::Rng rng(seed * 7919 + 13);
@@ -290,12 +294,12 @@ TEST_P(LazyEagerEquivalence, SelectionsAreIdentical) {
     }
     f.trace = trace::ActivityTrace(n + 1, acts);
 
-    const MaxAvPolicy lazy(objective, false, /*lazy=*/true);
-    const MaxAvPolicy eager(objective, false, /*lazy=*/false);
+    const MaxAvPolicy policy(objective, least_overlap);
     for (std::size_t k : {std::size_t{1}, std::size_t{3}, n / 2, n + 5}) {
       util::Rng unused(1);
-      EXPECT_EQ(lazy.select(f.context(0, conn, k), unused),
-                eager.select(f.context(0, conn, k), unused))
+      const PlacementContext ctx = f.context(0, conn, k);
+      EXPECT_EQ(policy.select(ctx, unused),
+                oracle::max_av(ctx, objective, least_overlap, /*lazy=*/false))
           << "seed=" << seed << " k=" << k;
     }
   }
@@ -307,7 +311,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          MaxAvObjective::kAoDTime,
                                          MaxAvObjective::kAoDActivity),
                        ::testing::Values(Connectivity::kConRep,
-                                         Connectivity::kUnconRep)));
+                                         Connectivity::kUnconRep),
+                       ::testing::Bool()));
 
 TEST(MostActive, RanksByInteractionCount) {
   Fixture f;

@@ -86,8 +86,6 @@ struct Case {
 };
 
 std::vector<Case> cases() {
-  PolicyParams eager;
-  eager.maxav_lazy = false;
   PolicyParams least;
   least.conrep_least_overlap = true;
   PolicyParams activity;
@@ -95,7 +93,6 @@ std::vector<Case> cases() {
   PolicyParams activity_least = activity;
   activity_least.conrep_least_overlap = true;
   return {{"MaxAv_celf", PolicyKind::kMaxAv, {}},
-          {"MaxAv_eager", PolicyKind::kMaxAv, eager},
           {"MaxAv_least_overlap", PolicyKind::kMaxAv, least},
           {"MaxAv_aod_activity", PolicyKind::kMaxAv, activity},
           {"MaxAv_aod_activity_least_overlap", PolicyKind::kMaxAv,

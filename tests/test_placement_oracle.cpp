@@ -128,12 +128,9 @@ std::vector<PolicyCase> policy_cases() {
   for (const auto& [name, objective] : objectives) {
     PolicyParams celf;
     celf.objective = objective;
-    PolicyParams eager = celf;
-    eager.maxav_lazy = false;
     PolicyParams least = celf;
     least.conrep_least_overlap = true;
     cases.push_back({std::string(name) + "_celf", PolicyKind::kMaxAv, celf});
-    cases.push_back({std::string(name) + "_eager", PolicyKind::kMaxAv, eager});
     cases.push_back(
         {std::string(name) + "_least_overlap", PolicyKind::kMaxAv, least});
   }
@@ -296,8 +293,10 @@ std::uint64_t conrep_tests(const ReplicaPolicy& policy,
 // Owner 08-10; contacts 1 (09-13), 2 (12-20), 3 (22-24), 4 (never online);
 // 3, 2 and 1 posted 3, 2 and 1 activities, so MostActive ranks 3, 2, 1, 4.
 // Every policy picks 1 then 2. A scan touches each unpicked contact once
-// per new source (4 + 3 + 2 tests); CELF only asks about heap tops:
-// 2 and 1 against the owner, 2 against 1, then 3 against all three.
+// per new source (4 + 3 + 2 tests); CELF only asks about heap tops.
+// Max gain: 2 and 1 against the owner, 2 against 1, then 3 against all
+// three. Least overlap: 2, 3 and 1 against the owner, then 2 and 3
+// against 1, then 3 against 2.
 TEST(ConRepWorkCounter, ExactCountsOnFourContacts) {
   const CounterProbe probe;
   std::vector<DaySchedule> schedules = {hours({{8, 10}}), hours({{9, 13}}),
@@ -314,14 +313,11 @@ TEST(ConRepWorkCounter, ExactCountsOnFourContacts) {
   ctx.connectivity = Connectivity::kConRep;
   ctx.max_replicas = 4;
 
-  PolicyParams eager;
-  eager.maxav_lazy = false;
   PolicyParams least;
   least.conrep_least_overlap = true;
   const std::pair<PolicyCase, std::uint64_t> expected[] = {
       {{"MaxAv_celf", PolicyKind::kMaxAv, {}}, 6},
-      {{"MaxAv_eager", PolicyKind::kMaxAv, eager}, 9},
-      {{"MaxAv_least_overlap", PolicyKind::kMaxAv, least}, 9},
+      {{"MaxAv_least_overlap", PolicyKind::kMaxAv, least}, 6},
       {{"MostActive", PolicyKind::kMostActive, {}}, 9},
       {{"Random", PolicyKind::kRandom, {}}, 9},
       {{"CoreGroup", PolicyKind::kCoreGroup, {}}, 9},

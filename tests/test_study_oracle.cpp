@@ -679,12 +679,13 @@ TEST(ScaleInput, MatchesMaterializedPipeline) {
                                              Connectivity::kConRep, sharded));
 }
 
-// The pipelined scale-input builder (producer thread + SPSC chunk queue +
-// parallel fold stages on the work-stealing runtime) reproduces the
-// serial builder bit for bit: same schedules, same restricted trace, same
-// cohort — for several queue capacities and chunk sizes, repeated so
-// different producer/consumer interleavings are actually exercised.
-TEST(ScalePipeline, PipelinedInputMatchesSerialBuilder) {
+// The scale-input builder (producer thread + SPSC chunk queue + fold
+// stages on the work-stealing runtime) gives the same input bit for bit
+// on every runtime width: same schedules, same restricted trace, same
+// cohort as the default one-worker build — for threads {1, 2, 4} × several
+// queue capacities and chunk sizes, so different producer/consumer
+// interleavings are actually exercised.
+TEST(ScalePipeline, InputIdenticalAcrossThreadsCapacitiesAndChunks) {
   constexpr std::size_t kUsers = 1000;
   synth::ScaleOptions opts;
   opts.users = kUsers;
@@ -692,31 +693,34 @@ TEST(ScalePipeline, PipelinedInputMatchesSerialBuilder) {
   synth::ScaleInputConfig config;
   config.preset = synth::scale_preset(opts);
   config.chunk_users = 97;  // force many chunks
-  const auto serial = synth::build_scale_study_input(config, kSeed);
+  const auto reference = synth::build_scale_study_input(config, kSeed);
 
-  for (const std::size_t queue_capacity : {1, 2, 4}) {
-    for (const std::size_t chunk_users : {31, 97, 2048}) {
-      auto pipelined_config = config;
-      pipelined_config.chunk_users = chunk_users;
-      pipelined_config.pipeline_queue_capacity = queue_capacity;
-      util::PipelineRuntime runtime({.threads = 4});
-      const auto pipelined =
-          synth::build_scale_study_input(pipelined_config, kSeed, &runtime);
-      SCOPED_TRACE("queue_capacity=" + std::to_string(queue_capacity) +
-                   " chunk_users=" + std::to_string(chunk_users));
+  for (const std::size_t threads : {1, 2, 4}) {
+    util::PipelineRuntime runtime({.threads = threads});
+    for (const std::size_t queue_capacity : {1, 2, 4}) {
+      for (const std::size_t chunk_users : {31, 97, 2048}) {
+        auto built_config = config;
+        built_config.chunk_users = chunk_users;
+        built_config.pipeline_queue_capacity = queue_capacity;
+        const auto built =
+            synth::build_scale_study_input(built_config, kSeed, &runtime);
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " queue_capacity=" + std::to_string(queue_capacity) +
+                     " chunk_users=" + std::to_string(chunk_users));
 
-      EXPECT_EQ(pipelined.total_activities, serial.total_activities);
-      EXPECT_EQ(pipelined.cohort_degree, serial.cohort_degree);
-      EXPECT_EQ(pipelined.cohort, serial.cohort);
-      ASSERT_EQ(pipelined.schedules.size(), serial.schedules.size());
-      for (std::size_t u = 0; u < serial.schedules.size(); ++u)
-        ASSERT_EQ(pipelined.schedules[u], serial.schedules[u])
-            << "user " << u;
-      const auto got = pipelined.dataset.trace.all();
-      const auto want = serial.dataset.trace.all();
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], want[i]) << "activity " << i;
+        EXPECT_EQ(built.total_activities, reference.total_activities);
+        EXPECT_EQ(built.cohort_degree, reference.cohort_degree);
+        EXPECT_EQ(built.cohort, reference.cohort);
+        ASSERT_EQ(built.schedules.size(), reference.schedules.size());
+        for (std::size_t u = 0; u < reference.schedules.size(); ++u)
+          ASSERT_EQ(built.schedules[u], reference.schedules[u])
+              << "user " << u;
+        const auto got = built.dataset.trace.all();
+        const auto want = reference.dataset.trace.all();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], want[i]) << "activity " << i;
+      }
     }
   }
 }

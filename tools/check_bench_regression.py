@@ -111,7 +111,6 @@ import sys
 
 # Optimized-engine fields normalized by seed_engine_ms for comparison.
 TIMED_FIELDS = [
-    "incremental_eager_ms",
     "incremental_lazy_ms",
     "parallel_lazy_ms",
 ]
@@ -375,7 +374,6 @@ def self_test() -> int:
             {
                 "name": "replication_sweep_degree10",
                 "seed_engine_ms": 100.0,
-                "incremental_eager_ms": 40.0,
                 "incremental_lazy_ms": 30.0,
                 "parallel_lazy_ms": 10.0,
                 "outputs_identical": True,
