@@ -358,7 +358,7 @@ int main() {
           w.end_object();
         }
         w.end_array();
-        w.field("peak_rss_mb", dosn::bench::peak_rss_mb());
+        w.field("process_peak_rss_mb", dosn::bench::peak_rss_mb());
       });
   std::printf("\nwrote BENCH_storage_regimes.json (%s)\n",
               all_ok ? "all checks passed" : "CHECKS FAILED");

@@ -18,7 +18,10 @@
 // checksum is the parallel-correctness probe. Reported per scenario:
 // p50/p99/p999 over all served requests, per-kind p50/p99, goodput
 // (requests inside the SLO per simulated second), the SLO-miss fraction,
-// per-thread-count wall times, and peak RSS. hardware_threads and an
+// and per-thread-count wall times. The report's top-level
+// process_peak_rss_mb is the process high-water mark over every scenario
+// (getrusage is monotone, so a per-scenario sample would only inherit the
+// earlier scenarios' peaks). hardware_threads and an
 // `oversubscribed` flag are recorded per scenario so a single-core CI
 // runner's timings are not mistaken for a parallel-scaling measurement.
 //
@@ -122,7 +125,6 @@ struct Scenario {
   std::array<double, 4> run_ms{};  // threads 1, 2, 4, 8
   std::uint64_t checksum = 0;
   bool identical = false;
-  double peak_rss_mb = 0.0;
 };
 
 }  // namespace
@@ -206,7 +208,6 @@ int main() {
       s.write_p99_s = reference.write.latency.quantile(0.99);
       s.checksum = reference.request_log_checksum;
       all_identical &= s.identical;
-      s.peak_rss_mb = dosn::bench::peak_rss_mb();
 
       std::printf(
           "  %-16s p50=%llds p99=%llds p999=%llds  goodput=%.3frps  "
@@ -235,6 +236,7 @@ int main() {
       "BENCH_serving.json", "serving_load", seed, kThreadCounts.back(),
       [&](dosn::util::JsonWriter& w) {
         dosn::bench::write_hardware_fields(w);
+        w.field("process_peak_rss_mb", dosn::bench::peak_rss_mb());
         w.key("scenarios");
         w.begin_array();
         for (const auto& s : scenarios) {
@@ -270,7 +272,6 @@ int main() {
           dosn::bench::write_hardware_fields(w, kThreadCounts.back());
           w.field("checksum", s.checksum);
           w.field("outputs_identical", s.identical);
-          w.field("peak_rss_mb", s.peak_rss_mb);
           w.end_object();
         }
         w.end_array();

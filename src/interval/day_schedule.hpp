@@ -60,6 +60,14 @@ class DaySchedule {
   /// is < kDaySeconds.
   std::optional<Seconds> wait_until_online(Seconds t) const;
 
+  /// Earliest instant in [t, horizon) at which the schedule is online, or
+  /// nullopt: for t >= 0, the schedule's pieces tiled daily from 0 on.
+  std::optional<Seconds> next_online(Seconds t, Seconds horizon) const {
+    const auto wait = wait_until_online(t);
+    if (!wait || t + *wait >= horizon) return std::nullopt;
+    return t + *wait;
+  }
+
   /// Seconds this schedule is online inside the circular window
   /// [t, t + length); length may exceed one day (full cycles count fully).
   Seconds online_within_window(Seconds t, Seconds length) const;

@@ -133,7 +133,6 @@ void flush_fault_stats(const FaultStats& stats) {
 
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
   validate(plan_);
-  zero_ = plan_.zero();
 }
 
 util::Rng& FaultInjector::message_stream(std::size_t sender) {

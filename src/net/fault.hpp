@@ -140,7 +140,6 @@ class FaultInjector {
   explicit FaultInjector(const FaultPlan& plan);
 
   const FaultPlan& plan() const { return plan_; }
-  bool zero() const { return zero_; }
 
   /// One transmission attempt by `sender`: true = the attempt is lost.
   bool drop_message(std::size_t sender);
@@ -202,7 +201,6 @@ class FaultInjector {
                                std::vector<interval::Interval>& windows);
 
   FaultPlan plan_;
-  bool zero_ = false;
   FaultStats stats_;
   // Per-sender message streams, created on first use. Keyed access only —
   // never iterated — so container order cannot leak into any result.

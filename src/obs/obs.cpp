@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -121,6 +122,19 @@ void Histogram::record(std::int64_t v) noexcept {
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);   // protocol: relaxed ^
   sum_.fetch_add(v, std::memory_order_relaxed);     // protocol: relaxed ^
+}
+
+void Histogram::add(std::span<const std::uint64_t> buckets,
+                    std::int64_t sum) {
+  if (!enabled()) return;
+  DOSN_CHECK(buckets.size() == buckets_.size(), "obs: histogram '", name_,
+             "' has ", buckets_.size(), " buckets, got ", buckets.size());
+  // protocol: relaxed — the same commutative tallies as record().
+  for (std::size_t i = 0; i < buckets.size(); ++i)
+    buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+  count_.fetch_add(std::reduce(buckets.begin(), buckets.end(), 0ULL),
+                   std::memory_order_relaxed);  // protocol: relaxed ^
+  sum_.fetch_add(sum, std::memory_order_relaxed);  // protocol: relaxed ^
 }
 
 std::uint64_t Histogram::bucket_count(std::size_t i) const noexcept {

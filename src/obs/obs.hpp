@@ -142,6 +142,9 @@ class Gauge {
 class Histogram {
  public:
   void record(std::int64_t v) noexcept;
+  /// Adds samples bucketed elsewhere over the same bounds: one count per
+  /// bucket (overflow last; the size is contract-checked) and their sum.
+  void add(std::span<const std::uint64_t> buckets, std::int64_t sum);
 
   const std::vector<std::int64_t>& bounds() const { return bounds_; }
   /// bucket_count(i) for i in [0, bounds().size()]: the last index is the

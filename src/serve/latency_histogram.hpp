@@ -58,8 +58,8 @@ class LatencyHistogram {
   Seconds quantile(double q) const;
 
   std::span<const Seconds> bounds() const { return bounds_; }
-  /// i in [0, bounds().size()]: the last index is the overflow bucket.
-  std::uint64_t bucket_count(std::size_t i) const { return buckets_[i]; }
+  /// bounds().size() + 1 bucket counts: the last is the overflow bucket.
+  std::span<const std::uint64_t> buckets() const { return buckets_; }
 
   friend bool operator==(const LatencyHistogram&,
                          const LatencyHistogram&) = default;

@@ -37,30 +37,15 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// The latency histogram of request `kind`, recorded per request (a
-/// relaxed bucket add when observability is on). The run's counters are
-/// published once, from the reduced report (publish_counters).
-obs::Histogram& latency_metric(RequestKind kind) {
-  static obs::Histogram* const by_kind[] = {
-      &obs::Registry::global().histogram("serve.latency.read",
-                                         LatencyHistogram::default_bounds()),
-      &obs::Registry::global().histogram("serve.latency.feed",
-                                         LatencyHistogram::default_bounds()),
-      &obs::Registry::global().histogram("serve.latency.write",
-                                         LatencyHistogram::default_bounds())};
-  return *by_kind[static_cast<std::size_t>(kind)];
-}
-
 /// One profile's realized serving surface: the replica selection plus the
 /// canonical union of the group members' fault-degraded absolute online
-/// sessions over the horizon. Under a resilience policy the *advertised*
-/// surfaces are materialized too: `ideal` is the unfaulted group union
-/// (the stale-failover surface and the feed budget's reference), `hedge`
-/// the unfaulted union of the top-2 availability-ranked members (the
-/// hedged-read surface). Under the zero plan nothing degrades the
-/// realized union, so `ideal` is a copy of `online`. Every surface is
-/// stored in 32-bit horizon seconds (interval::PackedSet), which the
-/// horizon bound in validate(ServingConfig) makes exact.
+/// sessions over the horizon, stored in 32-bit horizon seconds
+/// (interval::PackedSet), which the horizon bound in
+/// validate(ServingConfig) makes exact. Under a resilience policy the
+/// *advertised* surfaces are kept too, as daily schedules (DESIGN.md §15):
+/// `ideal` is the daily union of every member's schedule (the
+/// stale-failover surface and the feed budget's reference), `hedge` that
+/// of the top-2 availability-ranked members (the hedged-read surface).
 struct GroupTimeline {
   std::vector<graph::UserId> selection;
   /// kSuperPeer only: volunteer storekeepers widening the read surface
@@ -68,8 +53,8 @@ struct GroupTimeline {
   /// degeneracy, which is what keeps that path bit-identical).
   std::vector<graph::UserId> storekeepers;
   PackedSet online;
-  PackedSet ideal;
-  PackedSet hedge;
+  DaySchedule ideal;
+  DaySchedule hedge;
   /// A served writer's durable surface (serving.hpp); nullopt for a
   /// writer's group when the owner alone holds the profile.
   std::optional<PackedSet> durable;
@@ -77,20 +62,15 @@ struct GroupTimeline {
   std::uint64_t session_pieces = 0;
 };
 
-/// One group member as the fault layer sees it: `node` is the member's
-/// index in its group (owner 0, then the selection, then storekeepers),
-/// which keys the injector's per-node stream.
-struct Member {
-  std::size_t node;
-  const DaySchedule* schedule;
-};
-
 /// The worker's reused builder, holding `realized` (canonical sets) and
-/// `members`' absolute sessions under `injector`, each one sorted run
-/// (DESIGN.md §14); the caller builds their union at once.
+/// the absolute sessions of `members[first, last)` under `injector`, each
+/// one sorted run (DESIGN.md §14); the caller builds their union at once.
+/// A member's index in its group (owner 0, then the selection, then the
+/// storekeepers) is its node, which keys the injector's per-node stream.
 interval::SortedRunUnion& session_runs(
-    net::FaultInjector& injector, std::span<const Member> members,
-    int horizon_days, std::initializer_list<const IntervalSet*> realized = {}) {
+    net::FaultInjector& injector, std::span<const DaySchedule* const> members,
+    std::size_t first, std::size_t last, int horizon_days,
+    std::initializer_list<const IntervalSet*> realized = {}) {
   // Never re-entered: each caller builds the runs before the next call.
   thread_local interval::SortedRunUnion runs;
   for (const IntervalSet* s : realized) {
@@ -98,8 +78,9 @@ interval::SortedRunUnion& session_runs(
                          s->pieces().end());
     runs.end_run();
   }
-  for (const Member& m : members) {
-    injector.append_sessions(m.node, *m.schedule, horizon_days, runs.pieces());
+  for (std::size_t node = first; node < last; ++node) {
+    injector.append_sessions(node, *members[node], horizon_days,
+                             runs.pieces());
     runs.end_run();
   }
   return runs;
@@ -128,9 +109,10 @@ struct RunContext {
   bool resilient;
   /// Any active flash-crowd entries in the scenario?
   bool flash;
-  /// Relay availability under UnconRep: canonical outage windows clipped
-  /// to the horizon (explicit plan windows — identical for every user).
-  IntervalSet relay_outages;
+  /// Relay availability under UnconRep: every instant from 0 on outside
+  /// the plan's outage windows clipped to the horizon (identical for
+  /// every user).
+  IntervalSet relay_up;
   /// Scaled ring under kSocialDht; null otherwise.
   const net::SocialDht* dht = nullptr;
   /// Volunteer directory under kSuperPeer; null otherwise.
@@ -142,17 +124,6 @@ struct RunContext {
 
   bool relay_exists() const {
     return config.connectivity == placement::Connectivity::kUnconRep;
-  }
-
-  /// Wait from `t` until the relay is reachable (0 when no outage covers
-  /// t). Only meaningful under UnconRep.
-  Seconds relay_wait(SimTime t) const {
-    const auto outages = relay_outages.pieces();
-    const auto it = std::upper_bound(
-        outages.begin(), outages.end(), t,
-        [](SimTime v, const Interval& w) { return v < w.end; });
-    if (it == outages.end() || !it->contains(t)) return 0;
-    return it->end - t;
   }
 
   net::FaultPlan plan_for(graph::UserId user) const {
@@ -212,11 +183,10 @@ struct RunContext {
     }
 
     // Members in fault-stream order: owner, selection, storekeepers.
-    std::vector<Member> members{{0, &schedules[user]}};
+    std::vector<const DaySchedule*> members{&schedules[user]};
     for (const auto* ids : {&g.selection, &g.storekeepers})
-      for (const graph::UserId v : *ids)
-        members.push_back({members.size(), &schedules[v]});
-    const std::span<const Member> all = members;
+      for (const graph::UserId v : *ids) members.push_back(&schedules[v]);
+    const std::size_t n = members.size();
     const int days = config.workload.horizon_days;
 
     net::FaultInjector injector(plan_for(user));
@@ -226,44 +196,39 @@ struct RunContext {
       // with the storekeepers' runs: every member is realized once.
       const std::size_t k = g.selection.size();
       const IntervalSet sel =
-          session_runs(injector, all.subspan(1, k), days).build();
+          session_runs(injector, members, 1, 1 + k, days).build();
       const IntervalSet owner =
-          session_runs(injector, all.first(1), days).build();
+          session_runs(injector, members, 0, 1, days).build();
       g.online =
-          session_runs(injector, all.subspan(1 + k), days, {&owner, &sel})
+          session_runs(injector, members, 1 + k, n, days, {&owner, &sel})
               .build_packed();
       const IntervalSet durable =
           config.regime == placement::StorageRegime::kSocialDht ? sel
-          : relay_exists() ? owner.subtract(relay_outages)
+          : relay_exists() ? owner.intersect(relay_up)
                            : owner.intersect(sel);
       g.durable.emplace(durable.pieces());
     } else {
-      g.online = session_runs(injector, all, days).build_packed();
+      g.online = session_runs(injector, members, 0, n, days).build_packed();
     }
     g.session_pieces = injector.stats().session_pieces;
     injector.flush_stats();  // net.fault.*: once per realized group
 
     if (resilient) {
-      // Advertised (unfaulted) surfaces for the resilience paths, built
-      // through a zero-plan injector; under the zero plan the realized
-      // union already is the unfaulted one.
-      net::FaultInjector unfaulted{net::FaultPlan{}};
-      g.ideal = injector.zero()
-                    ? g.online
-                    : session_runs(unfaulted, members, days).build_packed();
-
+      // Advertised (unfaulted) surfaces for the resilience paths: daily
+      // unions of every member, and of the top-2 members by advertised
+      // daily online time (ties to the lower member index — owner first,
+      // then selection order). The last use of `members`, so the hedge
+      // reorders it in place.
+      thread_local std::vector<Interval> scratch;
+      for (const DaySchedule* s : members) g.ideal.unite_with(*s, &scratch);
       if (config.resilience.hedged_reads) {
-        // Top-2 members by advertised daily online time (ties to the
-        // lower member index — owner first, then selection order).
-        std::vector<Member> top = members;
-        std::stable_sort(top.begin(), top.end(), [](const Member& a,
-                                                    const Member& b) {
-          return a.schedule->online_seconds() > b.schedule->online_seconds();
-        });
-        top.resize(std::min<std::size_t>(top.size(), 2));
-        g.hedge = session_runs(unfaulted, top, days).build_packed();
+        std::stable_sort(members.begin(), members.end(),
+                         [](const DaySchedule* a, const DaySchedule* b) {
+                           return a->online_seconds() > b->online_seconds();
+                         });
+        for (std::size_t i = 0; i < std::min<std::size_t>(n, 2); ++i)
+          g.hedge.unite_with(*members[i], &scratch);
       }
-      g.session_pieces += unfaulted.stats().session_pieces;
     }
     return g;
   }
@@ -381,7 +346,7 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
   // whenever the relay is up.
   std::optional<SimTime> best = group.online.next_at_or_after(t);
   if (run.relay_exists()) {
-    const SimTime relay = t + run.relay_wait(t);
+    const SimTime relay = *run.relay_up.next_at_or_after(t);
     best = best ? std::min(*best, relay) : relay;
   }
   if (!run.resilient) {
@@ -393,7 +358,8 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
     // Primary not done by the hedge delay: launch the hedge against the
     // top-2 members' advertised surface.
     out.hedged = true;
-    const auto hedge = group.hedge.next_at_or_after(t + p.hedge_delay);
+    const auto hedge =
+        group.hedge.next_online(t + p.hedge_delay, run.horizon);
     if (hedge && (!best || *hedge < *best)) {
       best = hedge;
       out.hedge_win = true;
@@ -403,7 +369,7 @@ FetchOutcome fetch(const RunContext& run, const GroupTimeline& group,
     // The freshest gossip-cached copy: retrievable from the give-up
     // instant onward whenever a group member would be online per its
     // advertised schedule, at the staleness tax.
-    const auto cached = group.ideal.next_at_or_after(t);
+    const auto cached = group.ideal.next_online(t, run.horizon);
     if (cached) {
       const SimTime stale =
           std::max(give_up_instant(p, t), *cached) + p.stale_read_tax;
@@ -534,7 +500,7 @@ void serve_user(const RunContext& run, const GroupTable& groups,
             if (!run.resilient) break;
           }
           if (budgetable) {
-            const auto ideal = fg.ideal.next_at_or_after(r.time);
+            const auto ideal = fg.ideal.next_online(r.time, run.horizon);
             if (ideal)
               ideal_done = std::max(ideal_done, *ideal);
             else
@@ -595,7 +561,6 @@ void serve_user(const RunContext& run, const GroupTable& groups,
     if (latency) {
       stats.latency.record(*latency);
       if (*latency > run.config.slo) ++stats.slo_misses;
-      latency_metric(r.kind).record(*latency);
     } else {
       ++stats.unserved;
       ++stats.slo_misses;
@@ -608,14 +573,15 @@ void serve_user(const RunContext& run, const GroupTable& groups,
   }
 }
 
-/// Publishes the run's serving counters once, from the reduced report and
-/// the group table (serve.surface_pieces: the pieces its surfaces store).
+/// Publishes the run's serving counters and latency histograms once, from
+/// the reduced report and the group table (serve.surface_pieces: the
+/// pieces its surfaces store).
 void publish_counters(const ServingReport& report, const GroupTable& table) {
   std::uint64_t pieces = 0, surface = 0;
   for (const GroupTimeline& g : table.groups) {
     pieces += g.session_pieces;
-    surface += g.online.piece_count() + g.ideal.piece_count() +
-               g.hedge.piece_count() +
+    surface += g.online.piece_count() + g.ideal.set().piece_count() +
+               g.hedge.set().piece_count() +
                (g.durable ? g.durable->piece_count() : 0);
   }
   obs::Registry& registry = obs::Registry::global();
@@ -636,6 +602,13 @@ void publish_counters(const ServingReport& report, const GroupTable& table) {
       {"placement.super_peer.storekeepers", report.regime.storekeepers},
   };
   for (const auto& [name, value] : totals) registry.counter(name).add(value);
+  const std::pair<const char*, const KindStats*> latencies[] = {
+      {"serve.latency.read", &report.read},
+      {"serve.latency.feed", &report.feed},
+      {"serve.latency.write", &report.write}};
+  for (const auto& [name, kind] : latencies)
+    registry.histogram(name, kind->latency.bounds())
+        .add(kind->latency.buckets(), kind->latency.sum());
 }
 
 void merge_kind(KindStats& into, const KindStats& from) {
@@ -748,16 +721,18 @@ ServingReport run_serving_study(const trace::Dataset& dataset,
       .flash = std::any_of(config.faults.scenario.flash_crowds.begin(),
                            config.faults.scenario.flash_crowds.end(),
                            [](const net::FlashCrowd& c) { return c.active(); }),
-      .relay_outages = {},
+      .relay_up = {},
       .dht = dht ? &*dht : nullptr,
       .directory = directory ? &*directory : nullptr,
       .churn = churn ? &*churn : nullptr,
   };
 
   if (run.relay_exists()) {
+    IntervalSet outages;
     for (const auto& w : config.faults.relay_outages)
-      if (w.start < w.end) run.relay_outages.add(w.start, w.end);
-    run.relay_outages = run.relay_outages.clip(0, run.horizon);
+      if (w.start < w.end) outages.add(w.start, w.end);
+    run.relay_up = IntervalSet::single(0, std::numeric_limits<SimTime>::max())
+                       .subtract(outages.clip(0, run.horizon));
   }
 
   // Fan out into per-index slots; stealing reorders execution only.

@@ -30,10 +30,12 @@
 //     read surface: no session is realized twice.
 //
 // Every referenced profile's group is realized once per run, before any
-// request, into a read-only group table. Its surfaces (read, advertised,
-// hedge, durable) are stored as 32-bit absolute horizon seconds
+// request, into a read-only group table. Its realized surfaces (read,
+// durable) are stored as 32-bit absolute horizon seconds
 // (interval::PackedSet), half the size of 64-bit intervals; that is why
-// the horizon is bounded by UINT32_MAX seconds (49,710 days).
+// the horizon is bounded by UINT32_MAX seconds (49,710 days). The
+// advertised surfaces of the resilience paths (stale copy, hedge) are
+// unfaulted, so they stay daily schedules (interval::DaySchedule).
 //
 // A DECENT-style crypto-cost knob taxes every object operation: reads add
 // one op, feeds one per friend profile, writes 1 + |selection| ops

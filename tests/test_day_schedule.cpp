@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "interval/day_schedule.hpp"
+#include "interval/packed_set.hpp"
+#include "net/fault.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -108,6 +110,59 @@ TEST(DaySchedule, WaitUntilOnlineEmptyIsNull) {
 TEST(DaySchedule, WaitHandlesAbsoluteTimes) {
   auto s = sched({{10 * kH, 12 * kH}});
   EXPECT_EQ(s.wait_until_online(5 * kDaySeconds + 8 * kH), 2 * kH);
+}
+
+TEST(DaySchedule, NextOnlineMatchesTiledHorizonUnion) {
+  // Differential anchor for the serving layer's advertised surfaces: the
+  // daily union of 1-6 schedules, queried with next_online, answers like
+  // the horizon surface it replaced — every schedule's zero-plan sessions
+  // united into one canonical set and queried with next_at_or_after.
+  constexpr Seconds kHedgeDelay = 300;
+  util::Rng rng(20121);
+  const auto random_schedule = [&] {
+    IntervalSet s;
+    switch (rng.below(5)) {
+      case 0: return DaySchedule{};
+      case 1: return DaySchedule::always();
+      case 2: s.add(0, rng.range(1, kDaySeconds - 1)); break;
+      case 3: s.add(rng.range(1, kDaySeconds - 1), kDaySeconds); break;
+      default: break;
+    }
+    for (auto pieces = rng.range(0, 3); pieces > 0; --pieces) {
+      const Seconds start = rng.range(0, kDaySeconds - 1);
+      s.add(start, std::min(start + rng.range(1, 6 * kH), kDaySeconds));
+    }
+    return DaySchedule(std::move(s));
+  };
+  for (const int days : {1, 14}) {
+    const Seconds horizon = days * kDaySeconds;
+    for (int round = 0; round < 60; ++round) {
+      net::FaultInjector zero{net::FaultPlan{}};
+      SortedRunUnion runs;
+      DaySchedule daily;
+      std::vector<Interval> scratch;
+      for (std::size_t node = 0, n = 1 + rng.below(6); node < n; ++node) {
+        const DaySchedule s = random_schedule();
+        daily.unite_with(s, &scratch);
+        zero.append_sessions(node, s, days, runs.pieces());
+        runs.end_run();
+      }
+      const PackedSet tiled = runs.build_packed();
+      std::vector<Seconds> queries{0, horizon - 1, horizon,
+                                   horizon + kHedgeDelay};
+      Seconds gap_start = 0;
+      for (const auto& p : tiled.pieces()) {
+        queries.insert(queries.end(),
+                       {p.start, p.end, (gap_start + p.start) / 2});
+        gap_start = p.end;
+      }
+      queries.push_back((gap_start + horizon) / 2);
+      for (const Seconds t : queries)
+        EXPECT_EQ(daily.next_online(t, horizon), tiled.next_at_or_after(t))
+            << "days " << days << " round " << round << " t " << t << " "
+            << daily.to_string();
+    }
+  }
 }
 
 TEST(DaySchedule, OnlineWithinWindowSimple) {

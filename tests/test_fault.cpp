@@ -115,7 +115,7 @@ TEST(FaultPlan, ScaledEndpointsAndSeed) {
 
 TEST(FaultInjector, ZeroPlanPreservesSessionsExactly) {
   FaultInjector injector(FaultPlan{});
-  EXPECT_TRUE(injector.zero());
+  EXPECT_TRUE(injector.plan().zero());
   EXPECT_FALSE(injector.drop_message(3));
   EXPECT_EQ(injector.latency_jitter(3), 0);
 

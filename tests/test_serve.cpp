@@ -651,10 +651,11 @@ TEST(ServingTest, SessionPiecesCountEachRealizationOnce) {
   // Writes only, no resilience policy: every session piece serving
   // realizes comes from a group's faulted injector, and a writer's durable
   // surface reuses its group's runs, so serve.session_pieces equals
-  // net.fault.session_pieces. A resilient run also realizes the unfaulted
-  // (advertised) surfaces and counts those pieces too. The pieces the
-  // group table stores (serve.surface_pieces) are as thread-count
-  // invariant, and the advertised surfaces add to them.
+  // net.fault.session_pieces. A resilient run keeps its advertised
+  // surfaces as daily schedules and realizes no further session, so the
+  // two stay equal. The pieces the group table stores
+  // (serve.surface_pieces) are as thread-count invariant, and the
+  // advertised surfaces add to them.
   const auto input = small_input();
   auto config = small_config();
   config.workload.read_fraction = 0.0;
@@ -689,9 +690,58 @@ TEST(ServingTest, SessionPiecesCountEachRealizationOnce) {
   const auto resilient = added(config, 4);
   const auto [pieces, fault_pieces, surface_pieces] = resilient;
   EXPECT_EQ(fault_pieces, serial_fault);
-  EXPECT_GT(pieces, fault_pieces);
+  EXPECT_EQ(pieces, fault_pieces);
   EXPECT_GT(surface_pieces, serial_surface);
   EXPECT_EQ(added(config, 1), resilient);
+  obs::set_enabled(was_enabled);
+}
+
+TEST(ServingTest, LatencyObsMatchesReport) {
+  // The serve.latency.* obs histograms are published once per run from
+  // the reduced report: each run adds exactly the report's per-kind
+  // buckets, count and sum, at every thread count.
+  const auto input = small_input();
+  const auto config = small_config();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto histogram = [](const char* name) -> obs::Histogram& {
+    return obs::Registry::global().histogram(
+        name, LatencyHistogram::default_bounds());
+  };
+  struct Totals {
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t count;
+    std::int64_t sum;
+  };
+  const auto totals = [](const obs::Histogram& h) {
+    Totals t{{}, h.count(), h.sum()};
+    for (std::size_t i = 0; i <= h.bounds().size(); ++i)
+      t.buckets.push_back(h.bucket_count(i));
+    return t;
+  };
+  const std::pair<obs::Histogram*, const KindStats ServingReport::*>
+      kinds[] = {{&histogram("serve.latency.read"), &ServingReport::read},
+                 {&histogram("serve.latency.feed"), &ServingReport::feed},
+                 {&histogram("serve.latency.write"), &ServingReport::write}};
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::vector<Totals> before;
+    for (const auto& kind : kinds) before.push_back(totals(*kind.first));
+    util::ThreadPool pool(threads);
+    const auto report = run_serving_study(input.dataset, input.schedules,
+                                          input.cohort, 11, config, &pool);
+    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+      const LatencyHistogram& want = (report.*kinds[k].second).latency;
+      EXPECT_GT(want.count(), 0u) << k;
+      const Totals after = totals(*kinds[k].first);
+      ASSERT_EQ(after.buckets.size(), want.buckets().size());
+      for (std::size_t i = 0; i < after.buckets.size(); ++i)
+        EXPECT_EQ(after.buckets[i] - before[k].buckets[i], want.buckets()[i])
+            << "kind " << k << " bucket " << i;
+      EXPECT_EQ(after.count - before[k].count, want.count()) << k;
+      EXPECT_EQ(after.sum - before[k].sum, want.sum()) << k;
+    }
+  }
   obs::set_enabled(was_enabled);
 }
 

@@ -32,7 +32,8 @@ performance
     enforced, their milliseconds are not.
 
 memory (warn-only)
-    Fields ending in ``peak_rss_mb`` track the memory envelope (the scale
+    Fields ending in ``peak_rss_mb``, per scenario or at the report's top
+    level (``process_peak_rss_mb``), track the memory envelope (the scale
     bench's acceptance criterion). Peak RSS depends on allocator, page
     size and machine, so growth beyond 50% of the baseline prints a
     warning for a human to judge; it never fails the gate.
@@ -310,6 +311,7 @@ def compare(baseline: dict, current: dict, threshold: float,
     current_by_name = {s["name"]: s for s in current["scenarios"]}
 
     warn_on_hardware_mismatch(baseline, current)
+    warn_on_rss_growth("report", baseline, current)
 
     for cur in current["scenarios"]:
         if not cur.get("outputs_identical", False):
@@ -491,6 +493,12 @@ def self_test() -> int:
     if compare(scale_baseline, bloated, DEFAULT_THRESHOLD):
         failures += 1
         print("self-test FAIL: peak-RSS growth must be warn-only")
+    process_baseline = dict(scale_baseline, process_peak_rss_mb=100.0)
+    process_bloated = dict(scale_baseline, process_peak_rss_mb=250.0)
+    print("self-test: top-level process peak-RSS growth warns but passes")
+    if compare(process_baseline, process_bloated, DEFAULT_THRESHOLD):
+        failures += 1
+        print("self-test FAIL: process peak-RSS growth must be warn-only")
 
     # Speedup drift is warn-only: a parallel sweep that lost ground against
     # its own serial run warns (for a human to judge — the runner's core
