@@ -60,6 +60,27 @@ void BM_WorstCaseWait(benchmark::State& state) {
 }
 BENCHMARK(BM_WorstCaseWait)->Arg(4)->Arg(16)->Arg(64);
 
+// The observed-delay kernel: the worst reader-online time in a window of
+// the delay's length ending at an online instant, one sweep over the
+// reader's pieces. The argument is the reader's exact piece count, one
+// piece per equal slot of the day; the 30 h delay spans a full day plus a
+// remainder, so both parts of the window count.
+void BM_WorstObservedDelay(benchmark::State& state) {
+  dosn::util::Rng rng(6);
+  const Seconds pieces = state.range(0);
+  const Seconds slot = kDaySeconds / pieces;
+  IntervalSet s;
+  for (Seconds i = 0; i < pieces; ++i) {
+    const Seconds start = i * slot + rng.range(1, slot / 3);
+    s.add(start, start + rng.range(1, slot / 3));
+  }
+  const DaySchedule reader(std::move(s));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        dosn::metrics::worst_observed_delay(reader, 30 * 3600));
+}
+BENCHMARK(BM_WorstObservedDelay)->Arg(4)->Arg(16)->Arg(64);
+
 // The delay graph's edge kernel: one allocation-free sweep per pair
 // (kDirect: largest circular gap of the rendezvous; kRelay: worst wait).
 void BM_PairDelay(benchmark::State& state, RendezvousMode mode) {

@@ -46,37 +46,6 @@ std::optional<Seconds> DaySchedule::wait_until_online(Seconds t) const {
   return *set_.first() + kDaySeconds - t;  // wrap to tomorrow's first piece
 }
 
-Seconds DaySchedule::online_within_window(Seconds t, Seconds length) const {
-  return interval::online_within_window(set_.pieces(), t, length);
-}
-
-Seconds online_within_window(std::span<const Interval> pieces, Seconds t,
-                             Seconds length) {
-  if (length <= 0 || pieces.empty()) return 0;
-  // Online seconds inside [lo, hi) of one day.
-  const auto within = [pieces](Seconds lo, Seconds hi) {
-    Seconds total = 0;
-    for (const auto& iv : pieces) {
-      const Seconds a = std::max(iv.start, lo);
-      const Seconds b = std::min(iv.end, hi);
-      if (a < b) total += b - a;
-    }
-    return total;
-  };
-  t = time_of_day(t);
-  const Seconds full_days = length / kDaySeconds;
-  const Seconds rem = length % kDaySeconds;
-  Seconds total = full_days > 0 ? full_days * within(0, kDaySeconds) : 0;
-  const Seconds e = t + rem;
-  if (e <= kDaySeconds) {
-    total += within(t, e);
-  } else {
-    total += within(t, kDaySeconds);
-    total += within(0, e - kDaySeconds);
-  }
-  return total;
-}
-
 namespace {
 
 // Closure membership in circular time: t is in the closure of the set when

@@ -68,10 +68,6 @@ class DaySchedule {
     return t + *wait;
   }
 
-  /// Seconds this schedule is online inside the circular window
-  /// [t, t + length); length may exceed one day (full cycles count fully).
-  Seconds online_within_window(Seconds t, Seconds length) const;
-
   DaySchedule unite(const DaySchedule& other) const {
     return DaySchedule(set_.unite(other.set_));
   }
@@ -102,11 +98,6 @@ class DaySchedule {
  private:
   IntervalSet set_;
 };
-
-/// DaySchedule::online_within_window over a canonical within-day piece
-/// list, e.g. a span into a flat buffer of several schedules' pieces.
-Seconds online_within_window(std::span<const Interval> pieces, Seconds t,
-                             Seconds length);
 
 /// Result of a worst-case wait analysis: the maximal wait and a time-of-day
 /// achieving it.

@@ -1,7 +1,6 @@
 #include "interval/delay_graph.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -9,8 +8,7 @@
 namespace dosn::interval {
 namespace {
 
-constexpr Seconds kInf = std::numeric_limits<Seconds>::max() / 4;
-
+using detail::kInf;
 using Pieces = std::span<const Interval>;
 
 // kDirect edge: the largest circular gap of the rendezvous R = S ∩ T (see
@@ -100,31 +98,28 @@ void PairDelayMemo::set_node(std::size_t key, Pieces pieces) {
   nodes_[key] = pieces;
 }
 
-std::optional<Seconds> PairDelayMemo::edge(std::size_t from, std::size_t to) {
+Seconds PairDelayMemo::fill(std::size_t from, std::size_t to) {
   const std::size_t n = nodes_.size();
-  DOSN_ASSERT(from < n && to < n);
   Seconds& forward = edges_[from * n + to];
-  if (forward < 0) {
-    Seconds& backward = edges_[to * n + from];
-    const Pieces s = nodes_[from], t = nodes_[to];
-    if (mode_ == RendezvousMode::kDirect) {
-      forward = backward = direct_delay(s, t).value_or(kInf);
-      edge_evaluations_ += 1;
-    } else {
-      DOSN_ASSERT(!s.empty() && !t.empty());
-      forward = relay_delay(s, t);
-      if (from != to) {
-        backward = relay_delay(t, s);
-        edge_evaluations_ += 1;
-      }
+  Seconds& backward = edges_[to * n + from];
+  const Pieces s = nodes_[from], t = nodes_[to];
+  if (mode_ == RendezvousMode::kDirect) {
+    forward = backward = direct_delay(s, t).value_or(kInf);
+    edge_evaluations_ += 1;
+  } else {
+    DOSN_ASSERT(!s.empty() && !t.empty());
+    forward = relay_delay(s, t);
+    if (from != to) {
+      backward = relay_delay(t, s);
       edge_evaluations_ += 1;
     }
+    edge_evaluations_ += 1;
   }
-  if (forward == kInf) return std::nullopt;
   return forward;
 }
 
 void IncrementalGroupDelay::push(const DaySchedule& node) {
+  DOSN_ASSERT(memo_ == nullptr);
   const std::size_t slot = pushed_++;
   if (node.empty()) return;
 
@@ -133,13 +128,13 @@ void IncrementalGroupDelay::push(const DaySchedule& node) {
   // One-hop edges between the existing participants and the new node, both
   // directions (the delay graph is directed; kDirect edges are symmetric,
   // so one evaluation serves both).
-  edge_to_.assign(m, kInf);
-  edge_from_.assign(m, kInf);
+  edge_to_.resize(m);
+  edge_from_.resize(m);
   for (std::size_t p = 0; p < m; ++p) {
     const Pieces u{pieces_.data() + participants_[p].begin,
                    pieces_.data() + participants_[p].end};
     if (mode_ == RendezvousMode::kDirect) {
-      if (auto w = direct_delay(u, v)) edge_to_[p] = edge_from_[p] = *w;
+      edge_to_[p] = edge_from_[p] = direct_delay(u, v).value_or(kInf);
       edge_evaluations_ += 1;
     } else {
       edge_to_[p] = relay_delay(u, v);
@@ -152,19 +147,20 @@ void IncrementalGroupDelay::push(const DaySchedule& node) {
 
 void IncrementalGroupDelay::push(std::size_t key, PairDelayMemo& memo) {
   DOSN_ASSERT(memo.mode() == mode_);
+  DOSN_ASSERT(memo_ == &memo || (memo_ == nullptr && pieces_.empty()));
+  memo_ = &memo;
   const std::size_t slot = pushed_++;
-  const Pieces v = memo.node(key);
-  if (v.empty()) return;
+  if (memo.node(key).empty()) return;
 
   const std::size_t m = participants_.size();
-  edge_to_.assign(m, kInf);
-  edge_from_.assign(m, kInf);
+  edge_to_.resize(m);
+  edge_from_.resize(m);
   for (std::size_t p = 0; p < m; ++p) {
     const std::size_t other = participants_[p].key;
     edge_to_[p] = memo.edge(other, key).value_or(kInf);
     edge_from_[p] = memo.edge(key, other).value_or(kInf);
   }
-  append(slot, key, v);
+  append(slot, key, {});
 }
 
 void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
@@ -172,23 +168,20 @@ void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
   const std::size_t m = participants_.size();
   // Shortest i -> new and new -> j. A shortest path touches the new node
   // only at its endpoint (weights are nonnegative), so it decomposes into
-  // an old-graph shortest path plus one new edge.
-  dist_to_.assign(m, kInf);
-  dist_from_.assign(m, kInf);
+  // an old-graph shortest path plus one new edge. No entry exceeds kInf, so
+  // a sum with a kInf operand never wins a min and needs no branch.
+  dist_to_.resize(m);
+  dist_from_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     Seconds best = edge_to_[i];
-    for (std::size_t j = 0; j < m; ++j) {
-      if (at(i, j) == kInf || edge_to_[j] == kInf) continue;
+    for (std::size_t j = 0; j < m; ++j)
       best = std::min(best, at(i, j) + edge_to_[j]);
-    }
     dist_to_[i] = best;
   }
   for (std::size_t j = 0; j < m; ++j) {
     Seconds best = edge_from_[j];
-    for (std::size_t p = 0; p < m; ++p) {
-      if (edge_from_[p] == kInf || at(p, j) == kInf) continue;
+    for (std::size_t p = 0; p < m; ++p)
       best = std::min(best, edge_from_[p] + at(p, j));
-    }
     dist_from_[j] = best;
   }
 
@@ -198,12 +191,9 @@ void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
   // read.
   dist_.resize((m + 1) * (m + 1));
   for (std::size_t i = m; i-- > 0;)
-    for (std::size_t j = m; j-- > 0;) {
-      Seconds d = dist_[i * m + j];
-      if (dist_to_[i] != kInf && dist_from_[j] != kInf)
-        d = std::min(d, dist_to_[i] + dist_from_[j]);
-      dist_[i * (m + 1) + j] = d;
-    }
+    for (std::size_t j = m; j-- > 0;)
+      dist_[i * (m + 1) + j] =
+          std::min(dist_[i * m + j], dist_to_[i] + dist_from_[j]);
   for (std::size_t i = 0; i < m; ++i) {
     dist_[i * (m + 1) + m] = dist_to_[i];
     dist_[m * (m + 1) + i] = dist_from_[i];
@@ -219,6 +209,7 @@ void IncrementalGroupDelay::reset(RendezvousMode mode) {
   mode_ = mode;
   pushed_ = 0;
   edge_evaluations_ = 0;
+  memo_ = nullptr;
   participants_.clear();
   pieces_.clear();
   dist_.clear();
@@ -232,6 +223,7 @@ std::span<const Interval> IncrementalGroupDelay::pieces(
   DOSN_CHECK(it != participants_.end() && it->slot == slot,
              "IncrementalGroupDelay::pieces: slot ", slot,
              " is not a participant");
+  if (memo_ != nullptr) return memo_->node(it->key);
   return {pieces_.data() + it->begin, pieces_.data() + it->end};
 }
 

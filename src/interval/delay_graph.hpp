@@ -20,13 +20,21 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "interval/day_schedule.hpp"
+#include "util/error.hpp"
 
 namespace dosn::interval {
+
+namespace detail {
+/// "No route" in the delay matrices: a quarter of the range, so a min-plus
+/// sum of two entries neither overflows nor beats an entry.
+inline constexpr Seconds kInf = std::numeric_limits<Seconds>::max() / 4;
+}  // namespace detail
 
 enum class RendezvousMode {
   kDirect,  ///< state moves only when both nodes are online simultaneously
@@ -85,7 +93,16 @@ class PairDelayMemo {
 
   /// pair_delay(node(from), node(to)); nullopt when the pair can never
   /// exchange state. Both nodes must be non-empty under kRelay.
-  std::optional<Seconds> edge(std::size_t from, std::size_t to);
+  /// A hit, the common case once a user's first runs have filled the
+  /// memo, is one load.
+  std::optional<Seconds> edge(std::size_t from, std::size_t to) {
+    const std::size_t n = nodes_.size();
+    DOSN_ASSERT(from < n && to < n);
+    const Seconds w = edges_[from * n + to];
+    const Seconds weight = w >= 0 ? w : fill(from, to);
+    if (weight == detail::kInf) return std::nullopt;
+    return weight;
+  }
 
   /// Edge kernels evaluated since the last reset(): one per requested pair
   /// of distinct keys under kDirect, two under kRelay (one for a key paired
@@ -93,6 +110,10 @@ class PairDelayMemo {
   std::uint64_t edge_evaluations() const { return edge_evaluations_; }
 
  private:
+  /// Evaluates the unevaluated edge (from, to), and its reverse when one
+  /// kernel gives both; returns its weight, detail::kInf for "never".
+  Seconds fill(std::size_t from, std::size_t to);
+
   RendezvousMode mode_ = RendezvousMode::kDirect;
   std::uint64_t edge_evaluations_ = 0;
   std::vector<std::span<const Interval>> nodes_;
@@ -116,7 +137,8 @@ class PairDelayMemo {
 /// per unordered pair fills both directions; kRelay evaluates each
 /// ordered pair. The edges come from the schedules pushed, or, for pushes
 /// by key, from a PairDelayMemo shared by every run of one user, which
-/// takes the kernels out of the per-run work altogether.
+/// takes the kernels out of the per-run work altogether; a key push copies
+/// no pieces either, since the memo already points at them.
 class IncrementalGroupDelay {
  public:
   explicit IncrementalGroupDelay(RendezvousMode mode) : mode_(mode) {}
@@ -129,6 +151,7 @@ class IncrementalGroupDelay {
   /// instead of evaluating them (and leaving edge_evaluations() alone; the
   /// memo counts its own kernels). A group is fed either by schedules or by
   /// keys of one memo, never both, and the memo's mode must be the group's.
+  /// The memo must outlive the group's use of pieces().
   void push(std::size_t key, PairDelayMemo& memo);
 
   /// Returns to the empty state (as freshly constructed with `mode`) while
@@ -142,7 +165,8 @@ class IncrementalGroupDelay {
   std::size_t pushed() const { return pushed_; }
 
   /// Pieces of the non-empty node pushed at `slot` (push order, as
-  /// GroupDelayResult::worst_target counts), read from the flat buffer.
+  /// GroupDelayResult::worst_target counts): the memo's node for key
+  /// pushes, a range of the flat buffer for schedule pushes.
   std::span<const Interval> pieces(std::size_t slot) const;
 
   /// Edge kernels evaluated by schedule pushes since construction or the
@@ -152,7 +176,7 @@ class IncrementalGroupDelay {
 
  private:
   /// A non-empty pushed node: its slot in push order, its memo key (key
-  /// pushes only) and its pieces' range in pieces_.
+  /// pushes only) and its pieces' range in pieces_ (schedule pushes only).
   struct Participant {
     std::size_t slot = 0;
     std::size_t key = 0;
@@ -160,7 +184,8 @@ class IncrementalGroupDelay {
   };
 
   /// Adds the new node's row and column from edge_to_ / edge_from_ (one-hop
-  /// edges with each existing participant) and records it.
+  /// edges with each existing participant) and records it, keeping `v` in
+  /// the flat buffer (empty for key pushes).
   void append(std::size_t slot, std::size_t key, std::span<const Interval> v);
 
   Seconds at(std::size_t i, std::size_t j) const {
@@ -170,8 +195,9 @@ class IncrementalGroupDelay {
   RendezvousMode mode_;
   std::size_t pushed_ = 0;
   std::uint64_t edge_evaluations_ = 0;
+  const PairDelayMemo* memo_ = nullptr;    // key pushes' memo
   std::vector<Participant> participants_;
-  std::vector<Interval> pieces_;           // participants' pieces, flat
+  std::vector<Interval> pieces_;           // schedule pushes' pieces, flat
   std::vector<Seconds> dist_;              // shortest delays, row-major
   // push() scratch, kept as members so steady-state pushes are
   // allocation-free once the buffers have warmed up.

@@ -14,20 +14,43 @@ interval::RendezvousMode mode_of(Connectivity connectivity) {
              : interval::RendezvousMode::kRelay;
 }
 
-// worst_observed_delay over the reader's pieces (a DaySchedule's, or a
-// participant's span in IncrementalGroupDelay's flat buffer).
+// worst_observed_delay over the reader's canonical within-day pieces (a
+// DaySchedule's, or IncrementalGroupDelay::pieces of a participant). The
+// window of length `actual` ends at an instant the reader is online, and
+// its online time is largest at a piece end e_k, so piece ends suffice.
+// Each full day of the window counts the whole schedule; the remainder r
+// is the circular window [e_k − r, e_k). Over the pieces doubled across
+// midnight (index i < p is piece i shifted back a day, p + i is piece i)
+// that window is the index range [j, p + k], head piece j cut at e_k − r,
+// and j only moves forward as k grows: one O(p) sweep.
 Seconds worst_observed(std::span<const interval::Interval> reader,
                        Seconds actual) {
   if (actual <= 0 || reader.empty()) return 0;
-  // The window of length `actual` ends at the delivery instant, which is an
-  // instant the reader is online. Sliding the window end across one of the
-  // reader's online intervals, the covered online time is maximal at the
-  // interval's right edge, so interval ends are sufficient candidates.
-  Seconds worst = 0;
-  for (const auto& iv : reader)
-    worst = std::max(worst, interval::online_within_window(
-                                reader, iv.end - actual, actual));
-  return worst;
+  const std::size_t p = reader.size();
+  Seconds online = 0;
+  for (const auto& iv : reader) online += iv.length();
+  const Seconds full_days = (actual / interval::kDaySeconds) * online;
+  const Seconds rem = actual % interval::kDaySeconds;
+  if (rem == 0) return full_days;
+
+  const auto doubled = [&](std::size_t i) {
+    return i < p ? interval::Interval{reader[i].start - interval::kDaySeconds,
+                                      reader[i].end - interval::kDaySeconds}
+                 : reader[i - p];
+  };
+  // `inside` is the length of the doubled pieces [j, p + k]: every shifted
+  // piece before the sweep starts.
+  Seconds inside = online, worst = 0;
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < p; ++k) {
+    inside += reader[k].length();
+    const Seconds from = reader[k].end - rem;
+    // Piece p + k ends at e_k > from, so j stops at or before it.
+    for (; doubled(j).end <= from; ++j) inside -= doubled(j).length();
+    worst = std::max(worst,
+                     inside - std::max<Seconds>(0, from - doubled(j).start));
+  }
+  return full_days + worst;
 }
 
 }  // namespace
@@ -56,6 +79,7 @@ void DelayPrefixEvaluator::push(const DaySchedule& replica) {
 void DelayPrefixEvaluator::reset(const DaySchedule& owner,
                                  Connectivity connectivity) {
   memo_ = nullptr;
+  observed_pieces_ = 0;
   group_.reset(mode_of(connectivity));
   group_.push(owner);
 }
@@ -63,6 +87,7 @@ void DelayPrefixEvaluator::reset(const DaySchedule& owner,
 void DelayPrefixEvaluator::reset(interval::PairDelayMemo& memo,
                                  std::size_t owner_key) {
   memo_ = &memo;
+  observed_pieces_ = 0;
   group_.reset(memo.mode());
   group_.push(owner_key, memo);
 }
@@ -81,9 +106,11 @@ DelayResult DelayPrefixEvaluator::result() const {
   result.actual = group.diameter;
   // A zero diameter leaves worst_target at its default slot, which may be
   // an empty node; the observed delay is zero then anyway.
-  if (group.participants >= 2 && group.diameter > 0)
-    result.observed =
-        worst_observed(group_.pieces(group.worst_target), group.diameter);
+  if (group.participants >= 2 && group.diameter > 0) {
+    const auto reader = group_.pieces(group.worst_target);
+    observed_pieces_ += reader.size();
+    result.observed = worst_observed(reader, group.diameter);
+  }
   return result;
 }
 

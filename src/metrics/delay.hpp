@@ -74,7 +74,9 @@ DelayResult update_propagation_delay(const DaySchedule& owner,
 
 /// Worst observed (reader-online) delay at `reader` for an actual delay of
 /// `actual` seconds: max over windows of that length ending at an online
-/// instant of the reader. Exposed for testing.
+/// instant of the reader. One O(pieces) sweep over the reader's pieces
+/// doubled across midnight; tests/pair_delay_oracle.cpp keeps the
+/// quadratic form (one window scan per piece end) as its oracle.
 Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual);
 
 /// update_propagation_delay over growing replica prefixes. After pushing
@@ -112,11 +114,17 @@ class DelayPrefixEvaluator {
   /// IncrementalGroupDelay::edge_evaluations).
   std::uint64_t edge_evaluations() const { return group_.edge_evaluations(); }
 
+  /// Reader pieces result() passed to the observed-delay kernel since the
+  /// last reset, summed over calls.
+  std::uint64_t observed_pieces() const { return observed_pieces_; }
+
  private:
   /// Owner at slot 0, then the pushed replicas; the observed delay reads
-  /// the worst target's pieces from its flat buffer.
+  /// the worst target's pieces from the memo (key runs) or from the
+  /// group's flat buffer (schedule runs).
   interval::IncrementalGroupDelay group_;
   interval::PairDelayMemo* memo_ = nullptr;  ///< key runs only
+  mutable std::uint64_t observed_pieces_ = 0;
 };
 
 }  // namespace dosn::metrics

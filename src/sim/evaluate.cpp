@@ -32,6 +32,12 @@ struct EvalMetrics {
   /// UnconRep, per user.
   obs::Counter& delay_edges =
       obs::Registry::global().counter("sim.delay_edges");
+  /// Picks pushed into the prefix delay (one per pick a run evaluates).
+  obs::Counter& delay_pushes =
+      obs::Registry::global().counter("sim.delay_pushes");
+  /// Reader pieces passed to the observed-delay kernel, summed over calls.
+  obs::Counter& observed_pieces =
+      obs::Registry::global().counter("sim.observed_pieces");
 };
 
 EvalMetrics& eval_metrics() {
@@ -290,6 +296,8 @@ void UserTable::evaluate(std::span<const std::uint32_t> picks,
 
   pending_.runs += 1;
   pending_.rows += out.size();
+  pending_.delay_pushes += take_max;
+  pending_.observed_pieces += delay_.observed_pieces();
 }
 
 void UserTable::flush_counters() {
@@ -301,6 +309,8 @@ void UserTable::flush_counters() {
   em.prefix_points.add(pending_.rows);
   em.activities_classified.add(pending_.activities);
   em.delay_edges.add(pending_.delay_edges);
+  em.delay_pushes.add(pending_.delay_pushes);
+  em.observed_pieces.add(pending_.observed_pieces);
   pending_ = Pending{};
 }
 

@@ -80,8 +80,9 @@ class UserTable {
 
   /// Adds the work done since the last flush to the obs counters
   /// (sim.user_tables, sim.prefix_sweeps, sim.prefix_points,
-  /// sim.activities_classified, sim.delay_edges) and zeroes it. Callers
-  /// flush once per shard, so the per-user path touches no atomic.
+  /// sim.activities_classified, sim.delay_edges, sim.delay_pushes,
+  /// sim.observed_pieces) and zeroes it. Callers flush once per shard, so
+  /// the per-user path touches no atomic.
   void flush_counters();
 
  private:
@@ -98,7 +99,7 @@ class UserTable {
 
   struct Pending {
     std::uint64_t tables = 0, runs = 0, rows = 0, activities = 0;
-    std::uint64_t delay_edges = 0;
+    std::uint64_t delay_edges = 0, delay_pushes = 0, observed_pieces = 0;
   };
 
   /// Adds the segment [start, end) with the sweep's current cover.

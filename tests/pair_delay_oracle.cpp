@@ -13,6 +13,34 @@ constexpr Seconds kInf = std::numeric_limits<Seconds>::max() / 4;
 
 }  // namespace
 
+Seconds online_within_window(const DaySchedule& schedule, Seconds t,
+                             Seconds length) {
+  const auto pieces = schedule.set().pieces();
+  if (length <= 0 || pieces.empty()) return 0;
+  // Online seconds inside [lo, hi) of one day.
+  const auto within = [pieces](Seconds lo, Seconds hi) {
+    Seconds total = 0;
+    for (const auto& iv : pieces) {
+      const Seconds a = std::max(iv.start, lo);
+      const Seconds b = std::min(iv.end, hi);
+      if (a < b) total += b - a;
+    }
+    return total;
+  };
+  t = time_of_day(t);
+  const Seconds full_days = length / kDaySeconds;
+  const Seconds rem = length % kDaySeconds;
+  Seconds total = full_days > 0 ? full_days * within(0, kDaySeconds) : 0;
+  const Seconds e = t + rem;
+  if (e <= kDaySeconds) {
+    total += within(t, e);
+  } else {
+    total += within(t, kDaySeconds);
+    total += within(0, e - kDaySeconds);
+  }
+  return total;
+}
+
 std::optional<Seconds> pair_delay(const DaySchedule& source,
                                   const DaySchedule& target,
                                   RendezvousMode mode) {
@@ -82,6 +110,19 @@ GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
 
 namespace dosn::metrics::oracle {
 
+Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual) {
+  if (actual <= 0 || reader.empty()) return 0;
+  // The window of length `actual` ends at the delivery instant, which is an
+  // instant the reader is online. Sliding the window end across one of the
+  // reader's online intervals, the covered online time is maximal at the
+  // interval's right edge, so interval ends are sufficient candidates.
+  Seconds worst = 0;
+  for (const auto& iv : reader.set().pieces())
+    worst = std::max(worst, interval::oracle::online_within_window(
+                                reader, iv.end - actual, actual));
+  return worst;
+}
+
 DelayResult update_propagation_delay(const DaySchedule& owner,
                                      std::span<const DaySchedule> replicas,
                                      Connectivity connectivity) {
@@ -100,8 +141,8 @@ DelayResult update_propagation_delay(const DaySchedule& owner,
   result.fully_connected = group.fully_connected;
   result.actual = group.diameter;
   if (group.participants >= 2)
-    result.observed =
-        worst_observed_delay(nodes[group.worst_target], group.diameter);
+    result.observed = oracle::worst_observed_delay(nodes[group.worst_target],
+                                                   group.diameter);
   return result;
 }
 

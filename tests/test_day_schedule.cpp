@@ -5,6 +5,7 @@
 #include "interval/day_schedule.hpp"
 #include "interval/packed_set.hpp"
 #include "net/fault.hpp"
+#include "pair_delay_oracle.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -167,21 +168,22 @@ TEST(DaySchedule, NextOnlineMatchesTiledHorizonUnion) {
 
 TEST(DaySchedule, OnlineWithinWindowSimple) {
   auto s = sched({{10 * kH, 12 * kH}});
-  EXPECT_EQ(s.online_within_window(9 * kH, 2 * kH), kH);
-  EXPECT_EQ(s.online_within_window(10 * kH, kH), kH);
-  EXPECT_EQ(s.online_within_window(13 * kH, kH), 0);
+  EXPECT_EQ(oracle::online_within_window(s, 9 * kH, 2 * kH), kH);
+  EXPECT_EQ(oracle::online_within_window(s, 10 * kH, kH), kH);
+  EXPECT_EQ(oracle::online_within_window(s, 13 * kH, kH), 0);
 }
 
 TEST(DaySchedule, OnlineWithinWindowWrapsMidnight) {
   auto s = sched({{1 * kH, 2 * kH}});
   // Window 23:00 -> 02:00 next day covers the 01:00-02:00 piece.
-  EXPECT_EQ(s.online_within_window(23 * kH, 3 * kH), kH);
+  EXPECT_EQ(oracle::online_within_window(s, 23 * kH, 3 * kH), kH);
 }
 
 TEST(DaySchedule, OnlineWithinWindowMultiDay) {
   auto s = sched({{1 * kH, 2 * kH}});
   // 2.5 days starting at 00:00 covers two full pieces and one more.
-  EXPECT_EQ(s.online_within_window(0, 2 * kDaySeconds + 12 * kH), 3 * kH);
+  EXPECT_EQ(oracle::online_within_window(s, 0, 2 * kDaySeconds + 12 * kH),
+            3 * kH);
 }
 
 TEST(DaySchedule, UniteIntersectOverlap) {

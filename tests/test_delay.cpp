@@ -2,6 +2,7 @@
 // worked example (Fig 1: 48h - d1 - d2 across a three-replica chain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "metrics/delay.hpp"
@@ -170,6 +171,63 @@ TEST(WorstObservedDelay, ZeroCases) {
 TEST(WorstObservedDelay, FullWindowWhenDelaySpansIt) {
   // Reader online 10-12; delay of exactly 24h covers the whole window once.
   EXPECT_EQ(worst_observed_delay(window(10, 12), 24 * kH), 2 * kH);
+}
+
+// A reader of `pieces` pieces from 2 * pieces distinct sorted boundaries in
+// [0, kDaySeconds], so no two pieces touch; the first boundary is pinned to
+// 0 and the last to kDaySeconds a quarter of the time each.
+DaySchedule random_reader(util::Rng& rng, std::int64_t pieces) {
+  std::vector<Seconds> cuts;
+  while (cuts.size() < static_cast<std::size_t>(2 * pieces)) {
+    const Seconds c = rng.range(0, interval::kDaySeconds);
+    if (std::find(cuts.begin(), cuts.end(), c) == cuts.end())
+      cuts.push_back(c);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  if (pieces > 0 && rng.chance(0.25)) cuts.front() = 0;
+  if (pieces > 0 && rng.chance(0.25)) cuts.back() = interval::kDaySeconds;
+  interval::IntervalSet set;
+  for (std::size_t i = 0; i < cuts.size(); i += 2)
+    set.add(cuts[i], cuts[i + 1]);
+  return DaySchedule(std::move(set));
+}
+
+// The library's linear sweep against the quadratic oracle (one window scan
+// per piece end) at every delay where the window's cut can change shape:
+// zero and one second, each piece length and each circular gap, one day
+// give or take a second, and multi-day delays with and without a
+// remainder.
+TEST(WorstObservedDelay, LinearSweepMatchesQuadraticOracle) {
+  util::Rng rng(0x0b5e);
+  std::vector<DaySchedule> readers{
+      DaySchedule{}, DaySchedule::always(), window(0, 1), window(23, 24),
+      window(10, 12),
+      DaySchedule(interval::IntervalSet::single(0, interval::kDaySeconds - 1)),
+      DaySchedule(interval::IntervalSet::single(1, interval::kDaySeconds))};
+  for (int round = 0; round < 3000; ++round)
+    readers.push_back(random_reader(rng, rng.range(0, 12)));
+
+  for (const DaySchedule& reader : readers) {
+    const auto pieces = reader.set().pieces();
+    std::vector<Seconds> delays{0,
+                                1,
+                                interval::kDaySeconds - 1,
+                                interval::kDaySeconds,
+                                interval::kDaySeconds + 1,
+                                2 * interval::kDaySeconds + kH,
+                                3 * interval::kDaySeconds};
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      delays.push_back(pieces[i].length());
+      const Seconds next = i + 1 < pieces.size()
+                               ? pieces[i + 1].start
+                               : pieces.front().start + interval::kDaySeconds;
+      delays.push_back(next - pieces[i].end);
+    }
+    for (const Seconds d : delays)
+      ASSERT_EQ(worst_observed_delay(reader, d),
+                oracle::worst_observed_delay(reader, d))
+          << "reader " << reader.to_string() << " delay " << d;
+  }
 }
 
 TEST(Delay, ObservedNeverExceedsActual) {

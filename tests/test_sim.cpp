@@ -119,14 +119,23 @@ std::uint64_t counter(const char* name) {
 // each pair's kernel once: four runs over owner 0 and contacts 1, 2 (3 is
 // never online) fill the three pairs once under ConRep, both directions
 // of each under UnconRep. A pair no run pushes is never evaluated.
+//
+// Every pick is pushed into the prefix delay (9 in the four runs, 2 in the
+// single runs), and every row with two or more participants and a nonzero
+// diameter passes its one-piece reader to the observed-delay kernel. Under
+// ConRep the owner (08-10) and contact 2 (12-16) never meet, so the rows
+// {owner, 2} have no diameter: 3 + 1 + 1 + 1 = 6 rows in the four runs,
+// 1 in the single runs. UnconRep connects every pair: 3 + 2 + 2 + 1 = 8
+// and 2.
 TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
   const auto d = tiny_dataset();
   const std::vector<DaySchedule> schedules{window(8, 10), window(9, 13),
                                            window(12, 16), DaySchedule{}};
   const ObsOn obs_on;
-  for (const auto& [connectivity, all_pairs, two_pairs] :
-       {std::tuple{Connectivity::kConRep, 3u, 2u},
-        std::tuple{Connectivity::kUnconRep, 6u, 4u}}) {
+  for (const auto& [connectivity, all_pairs, two_pairs, observed,
+                    single_observed] :
+       {std::tuple{Connectivity::kConRep, 3u, 2u, 6u, 1u},
+        std::tuple{Connectivity::kUnconRep, 6u, 4u, 8u, 2u}}) {
     SCOPED_TRACE(placement::to_string(connectivity));
     const std::vector<std::vector<graph::UserId>> runs{
         {1, 2, 3}, {2, 1}, {3, 2, 1}, {1}};
@@ -138,6 +147,8 @@ TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
     const std::uint64_t sweeps = counter("sim.prefix_sweeps");
     const std::uint64_t points = counter("sim.prefix_points");
     const std::uint64_t edges = counter("sim.delay_edges");
+    const std::uint64_t pushes = counter("sim.delay_pushes");
+    const std::uint64_t pieces = counter("sim.observed_pieces");
     UserTable table;
     table.build(d, schedules, 0, holders, connectivity);
     std::vector<UserMetrics> rows(4);
@@ -151,6 +162,8 @@ TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
     EXPECT_EQ(counter("sim.prefix_sweeps") - sweeps, 4u);
     EXPECT_EQ(counter("sim.prefix_points") - points, 16u);
     EXPECT_EQ(counter("sim.delay_edges") - edges, all_pairs);
+    EXPECT_EQ(counter("sim.delay_pushes") - pushes, 9u);
+    EXPECT_EQ(counter("sim.observed_pieces") - pieces, observed);
 
     // Runs {1} and {2}: the pair (1, 2) is never pushed.
     const std::vector<graph::UserId> singles{1, 2};
@@ -159,6 +172,9 @@ TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
       table.evaluate(table.holder_positions().subspan(r, 1), 0, 3, rows);
     table.flush_counters();
     EXPECT_EQ(counter("sim.delay_edges") - edges, all_pairs + two_pairs);
+    EXPECT_EQ(counter("sim.delay_pushes") - pushes, 11u);
+    EXPECT_EQ(counter("sim.observed_pieces") - pieces,
+              observed + single_observed);
   }
 }
 
