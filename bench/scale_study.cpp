@@ -7,12 +7,11 @@
 //                        worker (graph + all schedules + the
 //                        cohort-restricted trace; the full activity trace
 //                        is never materialized);
-//   * gen_pipelined_ms — the same construction with the fold stages fanned
-//                        out over the shared work-stealing runtime (both
-//                        builds run the producer thread + SPSC chunk
-//                        queue of DESIGN.md §12). Its output is
-//                        checksummed against the one-worker build —
-//                        bit-identity is part of outputs_identical;
+//   * gen_pipelined_ms — the same construction with the fold stages on the
+//                        shared work-stealing runtime (DESIGN.md §12).
+//                        Its output is checksummed against the one-worker
+//                        build — bit-identity is part of
+//                        outputs_identical;
 //   * sweep times      — the same replication sweep run serial (threads =
 //                        1), parallel on the shared pool, and parallel
 //                        with a different shard size. The three sweep

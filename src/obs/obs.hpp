@@ -14,11 +14,10 @@
 //      increments) and merge by summation — commutative, so the total does
 //      not depend on scheduling — and every exporter walks the registry in
 //      sorted-name order. Only span durations (wall time) vary run to run;
-//      span structure and call counts do not. Scheduling-observing metrics
-//      — the work-stealing runtime's `util.runtime.steals` counter and the
-//      generation pipeline's `synth.scale.queue_high_water` gauge — are the
-//      counter/gauge analogue of span durations: they measure *how* a run
-//      was scheduled, not *what* it computed, and are likewise excluded
+//      span structure and call counts do not. The one scheduling-observing
+//      metric, the work-stealing runtime's `util.runtime.steals` counter,
+//      is the counter analogue of span durations: it measures *how* a run
+//      was scheduled, not *what* it computed, and is likewise excluded
 //      from byte-determinism expectations (DESIGN.md §12).
 //
 // Cost model: every hot-path hook first loads one relaxed atomic bool

@@ -1,12 +1,10 @@
 #include "synth/scale.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "graph/degree_stats.hpp"
 #include "obs/obs.hpp"
 #include "onlinetime/sporadic.hpp"
-#include "util/spsc_queue.hpp"
 
 namespace dosn::synth {
 
@@ -17,19 +15,12 @@ using trace::Activity;
 
 namespace {
 
-// Pipeline metrics (DESIGN.md §12). Chunk counts are deterministic for a
-// fixed preset; the queue high-water gauge depends on producer/consumer
-// timing (scheduling-dependent, like span durations and steal counts).
-struct ScalePipelineMetrics {
-  obs::Counter& chunks =
+// Fold metric (DESIGN.md §12): the chunk count is deterministic for a
+// fixed preset and chunk size.
+obs::Counter& chunks_metric() {
+  static obs::Counter& chunks =
       obs::Registry::global().counter("synth.scale.chunks");
-  obs::Gauge& queue_high_water =
-      obs::Registry::global().gauge("synth.scale.queue_high_water");
-};
-
-ScalePipelineMetrics& pipeline_metrics() {
-  static ScalePipelineMetrics m;
-  return m;
+  return chunks;
 }
 
 /// Everything build_scale_study_input derives before the activity stream
@@ -58,17 +49,8 @@ struct FoldState {
   }
 };
 
-/// One generator chunk in flight between the producer thread and the
-/// folding stages. Buffers cycle through a recycle queue so steady-state
-/// pipelining does not allocate.
-struct GenChunk {
-  UserId first = 0;
-  UserId end = 0;
-  std::vector<Activity> acts;
-};
-
-/// The fold: the activity generator runs on a producer thread feeding a
-/// bounded SPSC queue; each popped chunk is folded in four stages — (A)
+/// The fold: the activity generator's sink folds each chunk on the calling
+/// thread while the chunk span is still valid, in four stages — (A)
 /// parallel argsort of every creator run by (timestamp, receiver), (B)
 /// serial session-offset draws walking runs in creator order and
 /// activities in sorted order (SporadicModel's draw order), (C) parallel
@@ -78,35 +60,6 @@ struct GenChunk {
 /// the runtime's width; on one worker, stages A and C run inline.
 void fold_chunks(FoldState& state, const ScaleInputConfig& config,
                  util::Rng& gen_rng, util::PipelineRuntime& runtime) {
-  const std::size_t queue_capacity =
-      std::max<std::size_t>(1, config.pipeline_queue_capacity);
-  util::SpscQueue<GenChunk> chunks(queue_capacity);
-  util::SpscQueue<GenChunk> recycle(queue_capacity + 1);
-
-  std::exception_ptr producer_error;
-  // lint:atomics-ok — the pipeline's one serial producer stage (DESIGN.md
-  // §12): joined before return, and every shared handoff goes through the
-  // SPSC queues' release/acquire protocol, never ad-hoc shared state.
-  std::thread producer([&] {
-    try {
-      generate_activities_chunked(
-          state.graph, config.preset.activity, gen_rng, config.chunk_users,
-          [&](UserId first, UserId end, std::span<const Activity> chunk) {
-            GenChunk buffer;
-            recycle.try_pop(buffer);  // reuse a drained buffer if one is back
-            buffer.first = first;
-            buffer.end = end;
-            buffer.acts.assign(chunk.begin(), chunk.end());
-            pipeline_metrics().queue_high_water.record_max(
-                static_cast<std::int64_t>(chunks.size() + 1));
-            chunks.push(std::move(buffer));
-          });
-    } catch (...) {
-      producer_error = std::current_exception();
-    }
-    chunks.close();
-  });
-
   struct Run {
     UserId creator = 0;
     std::size_t begin = 0;
@@ -116,89 +69,71 @@ void fold_chunks(FoldState& state, const ScaleInputConfig& config,
   std::vector<std::uint32_t> order;          // per-chunk argsort, flat
   std::vector<interval::Interval> sessions;  // flat; run r owns its slice
 
-  try {
-    GenChunk buffer;
-    while (chunks.pop(buffer)) {
-      const std::vector<Activity>& acts = buffer.acts;
-      state.total_activities += acts.size();
-      pipeline_metrics().chunks.add(1);
+  generate_activities_chunked(
+      state.graph, config.preset.activity, gen_rng, config.chunk_users,
+      [&](UserId, UserId, std::span<const Activity> acts) {
+        state.total_activities += acts.size();
+        chunks_metric().add(1);
 
-      // Runs of consecutive equal creators (ascending by construction).
-      runs.clear();
-      for (std::size_t i = 0; i < acts.size();) {
-        const UserId u = acts[i].creator;
-        const std::size_t begin = i;
-        while (i < acts.size() && acts[i].creator == u) ++i;
-        runs.push_back({u, begin, i});
-      }
-      order.resize(acts.size());
-      sessions.resize(acts.size());
-
-      // Stage A (parallel): argsort each run by (timestamp, receiver).
-      // SporadicModel draws one session offset per created activity in
-      // created_index order, which within one creator is (timestamp, then
-      // by_receiver rank). Ties are fully identical activities (same
-      // creator/receiver/timestamp), so any tie order yields the same
-      // sessions.
-      runtime.parallel_for_index(runs.size(), [&](std::size_t r) {
-        const Run& run = runs[r];
-        for (std::size_t j = run.begin; j < run.end; ++j)
-          order[j] = static_cast<std::uint32_t>(j);
-        std::sort(order.begin() + static_cast<std::ptrdiff_t>(run.begin),
-                  order.begin() + static_cast<std::ptrdiff_t>(run.end),
-                  [&acts](std::uint32_t a, std::uint32_t b) {
-                    if (acts[a].timestamp != acts[b].timestamp)
-                      return acts[a].timestamp < acts[b].timestamp;
-                    return acts[a].receiver < acts[b].receiver;
-                  });
-      });
-
-      // Stage B (serial): one offset per activity, runs in creator order,
-      // sorted order within a run — SporadicModel's exact draw order.
-      for (const Run& run : runs) {
-        for (std::size_t j = run.begin; j < run.end; ++j) {
-          const Activity& a = acts[order[j]];
-          const auto offset = static_cast<Seconds>(state.sched_rng.below(
-              static_cast<std::uint64_t>(state.session)));
-          sessions[j] = {a.timestamp - offset,
-                         a.timestamp - offset + state.session};
+        // Runs of consecutive equal creators (ascending by construction).
+        runs.clear();
+        for (std::size_t i = 0; i < acts.size();) {
+          const UserId u = acts[i].creator;
+          const std::size_t begin = i;
+          while (i < acts.size() && acts[i].creator == u) ++i;
+          runs.push_back({u, begin, i});
         }
-      }
+        order.resize(acts.size());
+        sessions.resize(acts.size());
 
-      // Stage C (parallel): project each creator's sessions onto the day.
-      runtime.parallel_for_index(runs.size(), [&](std::size_t r) {
-        const Run& run = runs[r];
-        state.schedules[run.creator] = DaySchedule::project(
-            std::span<const interval::Interval>(sessions).subspan(
-                run.begin, run.end - run.begin));
+        // Stage A (parallel): argsort each run by (timestamp, receiver).
+        // SporadicModel draws one session offset per created activity in
+        // created_index order, which within one creator is (timestamp,
+        // then by_receiver rank). Ties are fully identical activities (same
+        // creator/receiver/timestamp), so any tie order yields the same
+        // sessions.
+        runtime.parallel_for_index(runs.size(), [&](std::size_t r) {
+          const Run& run = runs[r];
+          for (std::size_t j = run.begin; j < run.end; ++j)
+            order[j] = static_cast<std::uint32_t>(j);
+          std::sort(order.begin() + static_cast<std::ptrdiff_t>(run.begin),
+                    order.begin() + static_cast<std::ptrdiff_t>(run.end),
+                    [&acts](std::uint32_t a, std::uint32_t b) {
+                      if (acts[a].timestamp != acts[b].timestamp)
+                        return acts[a].timestamp < acts[b].timestamp;
+                      return acts[a].receiver < acts[b].receiver;
+                    });
+        });
+
+        // Stage B (serial): one offset per activity, runs in creator
+        // order, sorted order within a run — SporadicModel's exact draw
+        // order.
+        for (const Run& run : runs) {
+          for (std::size_t j = run.begin; j < run.end; ++j) {
+            const Activity& a = acts[order[j]];
+            const auto offset = static_cast<Seconds>(state.sched_rng.below(
+                static_cast<std::uint64_t>(state.session)));
+            sessions[j] = {a.timestamp - offset,
+                           a.timestamp - offset + state.session};
+          }
+        }
+
+        // Stage C (parallel): project each creator's sessions onto the day.
+        runtime.parallel_for_index(runs.size(), [&](std::size_t r) {
+          const Run& run = runs[r];
+          state.schedules[run.creator] = DaySchedule::project(
+              std::span<const interval::Interval>(sessions).subspan(
+                  run.begin, run.end - run.begin));
+        });
+
+        // Stage D (serial): cohort-restricted trace in original chunk
+        // order, the generator's emission order.
+        for (const Activity& a : acts)
+          if (state.in_cohort[a.receiver]) state.retained.push_back(a);
       });
-
-      // Stage D (serial): cohort-restricted trace in original chunk order,
-      // the generator's emission order.
-      for (const Activity& a : acts)
-        if (state.in_cohort[a.receiver]) state.retained.push_back(a);
-
-      buffer.acts.clear();
-      recycle.try_push(std::move(buffer));
-    }
-  } catch (...) {
-    // Drain so the producer's blocking push can finish, then rethrow.
-    GenChunk drained;
-    while (chunks.pop(drained)) {
-    }
-    producer.join();
-    throw;
-  }
-  producer.join();
-  if (producer_error) std::rethrow_exception(producer_error);
 }
 
 }  // namespace
-
-ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
-                                        std::uint64_t seed) {
-  return build_scale_study_input(config, seed, nullptr);
-}
 
 ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
                                         std::uint64_t seed,

@@ -18,17 +18,14 @@
 // study engine's rep-0 schedule stream — so a Study sweep over this input
 // (the precomputed-schedules overload) is bit-identical to a Sporadic
 // model sweep on the materialized dataset.
-// Pipelined construction (DESIGN.md §12): every build runs the activity
-// generator on a dedicated producer thread, hands chunks to the folding
-// thread through a bounded util::SpscQueue, and folds each chunk on a
-// util::PipelineRuntime's workers — the per-creator argsort and
-// DaySchedule projection parallelize, while the two RNG streams and the
-// retained-trace append stay serial in their original draw/append order.
-// There is one fold: without a runtime it runs on a local one-worker
-// runtime, whose parallel stages run inline. The result is bit-identical
-// for every runtime width (the same test file pins it), so generation
-// stops being a serial prefix of a scale study without weakening the
-// contract.
+// Folded construction (DESIGN.md §12): every build folds each activity
+// chunk inside the generator's sink, on the calling thread, while the
+// chunk is still live, and fans the per-creator argsort and DaySchedule
+// projection out over a util::PipelineRuntime's workers; the two RNG
+// streams and the retained-trace append stay serial in their original
+// draw/append order. There is one fold: without a runtime it runs on a
+// local one-worker runtime, whose parallel stages run inline. The result
+// is bit-identical for every runtime width (the same test file pins it).
 #pragma once
 
 #include "interval/day_schedule.hpp"
@@ -40,17 +37,15 @@ namespace dosn::synth {
 struct ScaleInputConfig {
   /// Typically scale_preset(...) / million_user(); any preset works.
   DatasetPreset preset;
-  /// Creators per generation chunk: the memory/throughput knob.
+  /// Creators per generation chunk: the memory/throughput knob. Chunks
+  /// are folded as they are emitted, so peak fold memory is one chunk of
+  /// activities plus its per-activity argsort and session buffers.
   std::size_t chunk_users = 65'536;
   /// Evaluation-cohort degree; 0 picks the most populated degree in
   /// [5, 15] (the paper's methodology around degree 10).
   std::size_t cohort_degree = 0;
   /// Sporadic online-time model session length.
   interval::Seconds session_length = 20 * 60;
-  /// Generator→folder SPSC queue capacity (chunks in flight); bounds
-  /// pipeline memory at roughly
-  /// `pipeline_queue_capacity · chunk_users · mean_activities` activities.
-  std::size_t pipeline_queue_capacity = 2;
 };
 
 struct ScaleStudyInput {
@@ -69,16 +64,12 @@ struct ScaleStudyInput {
   std::string model_name;
 };
 
-/// Builds the streaming-study input for `config.preset` from one seed, on
-/// one fold worker.
-ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
-                                        std::uint64_t seed);
-
-/// Same result, with the per-chunk sort/projection stages fanned out over
-/// `runtime`'s workers. A null runtime means one local worker; every
-/// configuration is bit-identical.
-ScaleStudyInput build_scale_study_input(const ScaleInputConfig& config,
-                                        std::uint64_t seed,
-                                        util::PipelineRuntime* runtime);
+/// Builds the streaming-study input for `config.preset` from one seed,
+/// with the per-chunk sort/projection stages fanned out over `runtime`'s
+/// workers. A null runtime means one local worker; every configuration is
+/// bit-identical.
+ScaleStudyInput build_scale_study_input(
+    const ScaleInputConfig& config, std::uint64_t seed,
+    util::PipelineRuntime* runtime = nullptr);
 
 }  // namespace dosn::synth

@@ -13,14 +13,13 @@
 // only *execution*. Every index runs exactly once; callers write results
 // into per-index slots and reduce serially in index order, so neither the
 // steal schedule nor the thread count can reach an output bit. The
-// `util.runtime.steals` counter and queue-depth gauges are the one class
-// of scheduling-dependent metrics (like span durations) — they never feed
-// back into results.
+// `util.runtime.steals` counter is the one scheduling-dependent metric
+// (like span durations) — it never feeds back into results.
 //
 // Serial stages (an RNG-consuming generator, an order-sensitive reduce)
-// connect to parallel stages through util::SpscQueue rather than through
-// the runtime: one producer thread, one consumer thread, FIFO chunks (see
-// synth::build_scale_study_input for the canonical pipeline).
+// run on the calling thread between parallel_for_index jobs, in their
+// original order (see synth::build_scale_study_input, which folds each
+// generated chunk in four such alternating stages).
 //
 // Locking map (DESIGN.md §13): `mutex_` is the rendezvous capability —
 // it guards the published job pointer, the generation ticket, the

@@ -34,7 +34,7 @@ class ThreadPool {
   explicit ThreadPool(std::size_t threads = 0)
       : runtime_(RuntimeOptions{.threads = threads}) {}
 
-  /// Full runtime configuration (steal granularity, stage-queue capacity).
+  /// Full runtime configuration (thread count, steal granularity).
   explicit ThreadPool(RuntimeOptions options) : runtime_(options) {}
 
   ThreadPool(const ThreadPool&) = delete;

@@ -1,10 +1,10 @@
 // Unit and stress tests for the work-stealing pipeline runtime
-// (util/pipeline_runtime.hpp, util/spsc_queue.hpp, util/steal_deque.hpp).
+// (util/pipeline_runtime.hpp, util/steal_deque.hpp).
 //
-// The suite names carry "PipelineRuntime" / "SpscQueue" / "StealDeque" so
-// the ThreadSanitizer CI job's -R filter picks every test up: the deque
-// take/steal protocol and the SPSC index handoff are exactly the code
-// whose bugs only surface as data races.
+// The suite names carry "PipelineRuntime" / "StealDeque" so the
+// ThreadSanitizer CI job's -R filter picks every test up: the deque
+// take/steal protocol is exactly the code whose bugs only surface as data
+// races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,62 +16,11 @@
 
 #include "obs/obs.hpp"
 #include "util/pipeline_runtime.hpp"
-#include "util/spsc_queue.hpp"
 #include "util/steal_deque.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dosn::util {
 namespace {
-
-TEST(SpscQueue, FifoOrderAndCloseSemantics) {
-  SpscQueue<int> q(4);
-  EXPECT_EQ(q.capacity() >= 4, true);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  q.close();
-  // Elements pushed before close stay poppable, in order.
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 3);
-  EXPECT_FALSE(q.pop(v));  // end of stream only after draining
-}
-
-TEST(SpscQueue, TryPushFailsWhenFull) {
-  SpscQueue<int> q(1);
-  const std::size_t cap = q.capacity();
-  for (std::size_t i = 0; i < cap; ++i)
-    ASSERT_TRUE(q.try_push(static_cast<int>(i)));
-  EXPECT_FALSE(q.try_push(99));
-  int v = -1;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(q.try_push(99));  // room again after one pop
-}
-
-// Producer/consumer handoff across real threads: every element arrives
-// exactly once, in order, through a deliberately tiny queue so both the
-// full-spin (producer) and empty-spin (consumer) paths run constantly.
-TEST(SpscQueue, CrossThreadStreamKeepsOrder) {
-  constexpr int kItems = 20000;
-  SpscQueue<int> q(2);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) q.push(i);
-    q.close();
-  });
-  int expected = 0;
-  int v = 0;
-  while (q.pop(v)) {
-    ASSERT_EQ(v, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kItems);
-}
 
 TEST(StealDeque, OwnerTakesLifoThievesStealFifo) {
   StealDeque d;

@@ -27,6 +27,7 @@
 #include "synth/generators.hpp"
 #include "synth/presets.hpp"
 #include "synth/scale.hpp"
+#include "util/error.hpp"
 
 namespace dosn {
 namespace {
@@ -679,48 +680,68 @@ TEST(ScaleInput, MatchesMaterializedPipeline) {
                                              Connectivity::kConRep, sharded));
 }
 
-// The scale-input builder (producer thread + SPSC chunk queue + fold
-// stages on the work-stealing runtime) gives the same input bit for bit
-// on every runtime width: same schedules, same restricted trace, same
-// cohort as the default one-worker build — for threads {1, 2, 4} × several
-// queue capacities and chunk sizes, so different producer/consumer
-// interleavings are actually exercised.
-TEST(ScalePipeline, InputIdenticalAcrossThreadsCapacitiesAndChunks) {
-  constexpr std::size_t kUsers = 1000;
-  synth::ScaleOptions opts;
-  opts.users = kUsers;
+// Two scale inputs are the same bit for bit: same schedules, same
+// restricted trace, same cohort.
+void expect_inputs_identical(const synth::ScaleStudyInput& built,
+                             const synth::ScaleStudyInput& reference) {
+  EXPECT_EQ(built.total_activities, reference.total_activities);
+  EXPECT_EQ(built.cohort_degree, reference.cohort_degree);
+  EXPECT_EQ(built.cohort, reference.cohort);
+  ASSERT_EQ(built.schedules.size(), reference.schedules.size());
+  for (std::size_t u = 0; u < reference.schedules.size(); ++u)
+    ASSERT_EQ(built.schedules[u], reference.schedules[u]) << "user " << u;
+  const auto got = built.dataset.trace.all();
+  const auto want = reference.dataset.trace.all();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "activity " << i;
+}
 
+synth::ScaleInputConfig small_scale_config() {
+  synth::ScaleOptions opts;
+  opts.users = 1000;
   synth::ScaleInputConfig config;
   config.preset = synth::scale_preset(opts);
   config.chunk_users = 97;  // force many chunks
+  return config;
+}
+
+// A generator precondition failure reaches the caller as the generator's
+// own ConfigError, with and without a runtime, and leaves the runtime
+// usable: the next build on it equals the one-worker reference.
+TEST(ScaleInput, GeneratorErrorReachesCaller) {
+  const auto config = small_scale_config();
+  auto broken = config;
+  broken.preset.activity.num_days = 0;
+
+  EXPECT_THROW(synth::build_scale_study_input(broken, kSeed), ConfigError);
+  util::PipelineRuntime runtime({.threads = 2});
+  EXPECT_THROW(synth::build_scale_study_input(broken, kSeed, &runtime),
+               ConfigError);
+
+  const auto reference = synth::build_scale_study_input(config, kSeed);
+  expect_inputs_identical(
+      synth::build_scale_study_input(config, kSeed, &runtime), reference);
+}
+
+// The scale-input builder (fold stages on the work-stealing runtime,
+// inside the generator's sink) gives the same input bit for bit on every
+// runtime width as the default one-worker build — for threads {1, 2, 4} ×
+// several chunk sizes, so different stage fan-outs are exercised.
+TEST(ScalePipeline, InputIdenticalAcrossThreadsAndChunks) {
+  const auto config = small_scale_config();
   const auto reference = synth::build_scale_study_input(config, kSeed);
 
   for (const std::size_t threads : {1, 2, 4}) {
     util::PipelineRuntime runtime({.threads = threads});
-    for (const std::size_t queue_capacity : {1, 2, 4}) {
-      for (const std::size_t chunk_users : {31, 97, 2048}) {
-        auto built_config = config;
-        built_config.chunk_users = chunk_users;
-        built_config.pipeline_queue_capacity = queue_capacity;
-        const auto built =
-            synth::build_scale_study_input(built_config, kSeed, &runtime);
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " queue_capacity=" + std::to_string(queue_capacity) +
-                     " chunk_users=" + std::to_string(chunk_users));
-
-        EXPECT_EQ(built.total_activities, reference.total_activities);
-        EXPECT_EQ(built.cohort_degree, reference.cohort_degree);
-        EXPECT_EQ(built.cohort, reference.cohort);
-        ASSERT_EQ(built.schedules.size(), reference.schedules.size());
-        for (std::size_t u = 0; u < reference.schedules.size(); ++u)
-          ASSERT_EQ(built.schedules[u], reference.schedules[u])
-              << "user " << u;
-        const auto got = built.dataset.trace.all();
-        const auto want = reference.dataset.trace.all();
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-          ASSERT_EQ(got[i], want[i]) << "activity " << i;
-      }
+    for (const std::size_t chunk_users : {31, 97, 2048}) {
+      auto built_config = config;
+      built_config.chunk_users = chunk_users;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " chunk_users=" + std::to_string(chunk_users));
+      expect_inputs_identical(
+          synth::build_scale_study_input(built_config, kSeed, &runtime),
+          reference);
     }
   }
 }

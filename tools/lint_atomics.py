@@ -41,8 +41,8 @@ Suppressions
 A finding is suppressed when the matched line, the statement's first
 line, or the contiguous `//` comment block directly above the statement
 contains `lint:atomics-ok` with a justification (the linter only checks
-the marker exists). Suppressions are for protocol-reviewed sites, e.g.
-the synth pipeline's producer thread.
+the marker exists). Suppressions are for protocol-reviewed sites; src/
+currently carries none.
 
 Usage
 -----
