@@ -37,7 +37,7 @@
 //
 // Environment knobs: DOSN_SCALE_USERS (comma-separated population sizes,
 // default "100000,500000,1000000" — CI smoke runs just 100000),
-// DOSN_BENCH_SEED, DOSN_THREADS, DOSN_STEAL_GRAIN, DOSN_OBS.
+// DOSN_BENCH_SEED, DOSN_THREADS, DOSN_OBS.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -32,21 +32,6 @@ RuntimeMetrics& metrics() {
 /// its own helpers).
 thread_local PipelineRuntime* tl_active_runtime = nullptr;
 
-std::size_t env_steal_grain() {
-  static const std::size_t cached = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once, before any
-    // runtime worker exists; nothing in the process calls setenv.
-    if (const char* env = std::getenv("DOSN_STEAL_GRAIN")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1)
-        return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(0);
-  }();
-  return cached;
-}
-
 }  // namespace
 
 std::size_t default_thread_count() {
@@ -66,7 +51,7 @@ PipelineRuntime::PipelineRuntime(RuntimeOptions options)
     : options_(options),
       threads_(options.threads > 0 ? options.threads
                                    : default_thread_count()),
-      deques_(threads_) {
+      slabs_(threads_) {
   helpers_.reserve(threads_ - 1);
   for (std::size_t w = 1; w < threads_; ++w)
     helpers_.emplace_back([this, w] { worker_loop(w); });
@@ -82,63 +67,54 @@ PipelineRuntime::~PipelineRuntime() {
 }
 
 std::size_t PipelineRuntime::effective_grain(std::size_t n) const {
-  std::size_t grain = options_.steal_grain;
-  if (grain == 0) grain = env_steal_grain();
-  if (grain == 0) grain = std::max<std::size_t>(1, n / (threads_ * 8));
-  return grain;
+  if (options_.steal_grain > 0) return options_.steal_grain;
+  return std::max<std::size_t>(1, n / (threads_ * 8));
 }
 
-void PipelineRuntime::run_block(IndexBlock block, const Job& job) noexcept {
-  try {
-    for (std::size_t i = block.begin; i < block.end; ++i) job(i);
-  } catch (...) {
-    MutexLock lock(mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  // protocol: acq_rel — the release half publishes this block's side
-  // effects to whoever observes the count hit zero; the acquire half
-  // makes each decrement a synchronization point so the final
-  // decrementer (and the acquire load in drain()) sees every block.
-  blocks_left_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void PipelineRuntime::drain(std::size_t worker, const Job& job) noexcept {
+PipelineRuntime::Tally PipelineRuntime::drain(std::size_t worker,
+                                               const Job& job,
+                                               std::size_t grain) noexcept {
   PipelineRuntime* const prev = tl_active_runtime;
   tl_active_runtime = this;
-  IndexBlock block;
-  for (;;) {
-    if (deques_[worker].take(block)) {
-      run_block(block, job);
-      continue;
-    }
-    bool progressed = false;
-    for (std::size_t offset = 1; offset < threads_; ++offset) {
-      if (deques_[(worker + offset) % threads_].steal(block)) {
-        // protocol: relaxed — scheduling telemetry only (util.runtime.
-        // steals); read after the job's mutex rendezvous, never racing.
-        job_steals_.fetch_add(1, std::memory_order_relaxed);
-        run_block(block, job);
-        progressed = true;
-        break;
+  Tally tally;
+  // Own slab first (offset 0), then each peer's in round-robin order. A
+  // slab is finished once a claim lands at or past its end, so the worker
+  // leaves after one failed claim per slab: every block is then claimed,
+  // and the ones still running elsewhere finish before their workers
+  // check in at the running_ rendezvous.
+  for (std::size_t offset = 0; offset < threads_; ++offset) {
+    Slab& slab = slabs_[(worker + offset) % threads_];
+    for (;;) {
+      // protocol: relaxed — the RMW alone makes each claim unique (one
+      // modification order per cursor); block effects are published by
+      // the running_ rendezvous under mutex_, not by this cursor.
+      const std::size_t begin =
+          slab.next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= slab.end) break;
+      if (offset != 0) ++tally.steals;
+      const std::size_t end = std::min(slab.end, begin + grain);
+      try {
+        for (std::size_t i = begin; i < end; ++i) job(i);
+      } catch (...) {
+        // Skip the rest of this block only; other blocks still run.
+        if (!tally.error) tally.error = std::current_exception();
       }
     }
-    if (progressed) continue;
-    // Nothing to take or steal: either the job is done, or its last
-    // blocks are in flight on other workers — spin politely until the
-    // remaining-block count settles.
-    // protocol: acquire — pairs with the acq_rel fetch_sub in
-    // run_block(); observing zero here means every block's effects
-    // happened-before this worker leaves the job.
-    if (blocks_left_.load(std::memory_order_acquire) == 0) break;
-    std::this_thread::yield();
   }
   tl_active_runtime = prev;
+  return tally;
+}
+
+void PipelineRuntime::merge(const Tally& tally) {
+  if (tally.error && !first_error_) first_error_ = tally.error;
+  job_steals_ += tally.steals;
 }
 
 void PipelineRuntime::worker_loop(std::size_t worker) {
   std::uint64_t seen = 0;
   for (;;) {
     const Job* job = nullptr;
+    std::size_t grain = 0;
     {
       MutexLock lock(mutex_);
       // Plain while loop, not a wait predicate: the guarded reads stay
@@ -147,10 +123,12 @@ void PipelineRuntime::worker_loop(std::size_t worker) {
       if (stop_) return;
       seen = generation_;
       job = job_;  // published under mutex_ by parallel_for_index
+      grain = grain_;
     }
-    drain(worker, *job);
+    const Tally tally = drain(worker, *job, grain);
     {
       MutexLock lock(mutex_);
+      merge(tally);
       --running_;
       if (running_ == 0) done_cv_.notify_all();
     }
@@ -171,49 +149,44 @@ PipelineRuntime::JobStats PipelineRuntime::parallel_for_index(
   }
 
   MutexLock client(client_mutex_);
-  // Seed each worker's deque with its static slab [w·n/T, (w+1)·n/T)
-  // split into grain blocks: a steal-free run executes exactly the old
-  // static partition (same locality), and stealing only redistributes
-  // stragglers. All pushes happen while the workers are quiescent; the
-  // generation bump below publishes them.
+  // Seed each worker's slab with its static range [w·n/T, (w+1)·n/T):
+  // a steal-free run executes exactly the old static partition (same
+  // locality), and stealing only redistributes stragglers.
   const std::size_t grain = effective_grain(n);
   std::size_t total_blocks = 0;
   for (std::size_t w = 0; w < threads_; ++w) {
     const std::size_t begin = w * n / threads_;
-    const std::size_t end = (w + 1) * n / threads_;
-    for (std::size_t b = begin; b < end; b += grain) {
-      deques_[w].push({b, std::min(end, b + grain)});
-      ++total_blocks;
-    }
+    slabs_[w].end = (w + 1) * n / threads_;
+    // protocol: relaxed — workers are quiescent here; the release
+    // publication is the mutex_-guarded generation bump below, whose
+    // unlock orders this store before any worker's first claim.
+    slabs_[w].next.store(begin, std::memory_order_relaxed);
+    total_blocks += (slabs_[w].end - begin + grain - 1) / grain;
   }
-  // protocol: relaxed — workers are quiescent here; the release
-  // publication is the mutex_-guarded generation bump below, whose
-  // unlock orders these stores before any worker's wake-up load.
-  blocks_left_.store(total_blocks, std::memory_order_relaxed);
-  job_steals_.store(0, std::memory_order_relaxed);  // protocol: relaxed ^
   {
     MutexLock lock(mutex_);
     job_ = &fn;
+    grain_ = grain;
     running_ = threads_ - 1;
     first_error_ = nullptr;
+    job_steals_ = 0;
     ++generation_;
   }
   start_cv_.notify_all();
-  drain(0, fn);  // the calling thread is worker 0
+  const Tally mine = drain(0, fn, grain);  // the calling thread is worker 0
 
   JobStats stats;
   stats.blocks = total_blocks;
   std::exception_ptr error;
   {
     MutexLock lock(mutex_);
+    merge(mine);
     while (running_ != 0) done_cv_.wait(lock);
     job_ = nullptr;
     error = first_error_;
     first_error_ = nullptr;
+    stats.steals = job_steals_;
   }
-  // protocol: relaxed — every worker has left the job (mutex rendezvous
-  // above), so this is a quiescent read of telemetry.
-  stats.steals = job_steals_.load(std::memory_order_relaxed);
   metrics().jobs.add(1);
   metrics().blocks.add(stats.blocks);
   metrics().steals.add(stats.steals);

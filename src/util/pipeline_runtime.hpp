@@ -3,11 +3,13 @@
 // PipelineRuntime replaces the static fork-join partition that made the
 // million-user sweep effectively serial under load imbalance: worker w no
 // longer owns exactly [w·n/T, (w+1)·n/T) — that range is only its *seed*
-// slab, split into steal-granularity blocks in a per-worker Chase-Lev
-// deque (util/steal_deque.hpp). Workers drain their own slab LIFO, then
-// steal straggling blocks FIFO from the heaviest-loaded peers, so a shard
-// of heavy-degree cohort users delays the loop by at most one block
-// instead of a whole static chunk.
+// slab. Each slab is a cursor that hands out steal-granularity blocks in
+// ascending order through one fetch_add. A worker drains its own slab,
+// then claims the remaining blocks of its peers' slabs in round-robin
+// order, so a shard of heavy-degree cohort users delays the loop by at
+// most one block instead of a whole static chunk. Every block of a job is
+// known when the job starts (no block spawns another), so a cursor per
+// slab is all the claiming protocol a job needs.
 //
 // Determinism contract (unchanged from DESIGN.md §7): stealing reorders
 // only *execution*. Every index runs exactly once; callers write results
@@ -22,23 +24,24 @@
 // generated chunk in four such alternating stages).
 //
 // Locking map (DESIGN.md §13): `mutex_` is the rendezvous capability —
-// it guards the published job pointer, the generation ticket, the
-// running-worker count, the first captured error, and the stop flag.
-// `client_mutex_` serializes external callers and is always acquired
-// before `mutex_`. Workers read the job pointer *under* `mutex_` when
-// they observe a new generation and then run lock-free on their deques;
-// the two atomics below the mutexes carry the lock-free completion
-// protocol (see the `protocol:` comments in the .cpp).
+// it guards the published job pointer and grain, the generation ticket,
+// the running-worker count, the first captured error, the job's steal
+// count, and the stop flag. `client_mutex_` serializes external callers
+// and is always acquired before `mutex_`. Workers read the job under
+// `mutex_` when they observe a new generation, claim blocks lock-free from
+// the slab cursors (the runtime's only atomics; see the `protocol:`
+// comments in the .cpp), and merge their first error and steal count
+// under `mutex_` as they leave the job.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
 
-#include "util/steal_deque.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dosn::util {
@@ -52,10 +55,9 @@ struct RuntimeOptions {
   /// Worker threads (the caller participates as worker 0);
   /// 0 = default_thread_count().
   std::size_t threads = 0;
-  /// Indices per steal block. 0 = the DOSN_STEAL_GRAIN environment
-  /// variable if set, else auto: max(1, n / (threads · 8)) per job —
-  /// small enough to rebalance stragglers, large enough to amortize
-  /// deque traffic.
+  /// Indices per steal block. 0 = auto: max(1, n / (threads · 8)) per
+  /// job — small enough to rebalance stragglers, large enough to amortize
+  /// cursor traffic.
   std::size_t steal_grain = 0;
 };
 
@@ -72,8 +74,8 @@ class PipelineRuntime {
   /// Per-job execution stats (also accumulated into obs counters).
   struct JobStats {
     std::size_t blocks = 0;  ///< non-empty steal blocks executed
-    std::size_t steals = 0;  ///< blocks run by a worker other than their
-                             ///< seed owner (0 on a balanced run)
+    std::size_t steals = 0;  ///< blocks claimed from a peer's slab
+                             ///< (0 on a balanced run)
   };
 
   /// Runs fn(i) for every i in [0, n) with work stealing; indices within
@@ -89,15 +91,27 @@ class PipelineRuntime {
  private:
   using Job = std::function<void(std::size_t)>;
 
+  /// One worker's seed range; `next` is the first unclaimed index.
+  /// Cache-line aligned so claims on one slab never contend with another.
+  struct alignas(64) Slab {
+    std::atomic<std::size_t> next{0};
+    std::size_t end = 0;
+  };
+
+  /// What one worker's drain leaves to merge under mutex_.
+  struct Tally {
+    std::exception_ptr error;  ///< first exception of this worker's blocks
+    std::size_t steals = 0;    ///< blocks claimed from peers' slabs
+  };
+
   void worker_loop(std::size_t worker) DOSN_EXCLUDES(mutex_);
-  void drain(std::size_t worker, const Job& job) noexcept;
-  void run_block(IndexBlock block, const Job& job) noexcept
-      DOSN_EXCLUDES(mutex_);
+  Tally drain(std::size_t worker, const Job& job, std::size_t grain) noexcept;
+  void merge(const Tally& tally) DOSN_REQUIRES(mutex_);
   std::size_t effective_grain(std::size_t n) const;
 
   RuntimeOptions options_;
   std::size_t threads_;
-  std::vector<StealDeque> deques_;
+  std::vector<Slab> slabs_;
   std::vector<std::thread> helpers_;
 
   // Serializes external callers: one job owns the workers at a time.
@@ -108,13 +122,12 @@ class PipelineRuntime {
   CondVar start_cv_;
   CondVar done_cv_;
   const Job* job_ DOSN_GUARDED_BY(mutex_) = nullptr;
+  std::size_t grain_ DOSN_GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ DOSN_GUARDED_BY(mutex_) = 0;
   std::size_t running_ DOSN_GUARDED_BY(mutex_) = 0;
   std::exception_ptr first_error_ DOSN_GUARDED_BY(mutex_);
+  std::size_t job_steals_ DOSN_GUARDED_BY(mutex_) = 0;
   bool stop_ DOSN_GUARDED_BY(mutex_) = false;
-
-  alignas(64) std::atomic<std::size_t> blocks_left_{0};
-  alignas(64) std::atomic<std::size_t> job_steals_{0};
 };
 
 }  // namespace dosn::util

@@ -4,15 +4,15 @@
 // §12): `for_each_index(n, fn)` runs fn over [0, n) on the runtime's
 // work-stealing workers. Worker w's *seed* slab is still the contiguous
 // chunk [w·n/T, (w+1)·n/T) — a steal-free run executes exactly the old
-// static partition — but the slab is split into steal-granularity blocks,
-// and idle workers steal straggling blocks from loaded peers, so
-// heavy-degree shards no longer serialize the loop.
+// static partition — but workers claim it in steal-granularity blocks,
+// and a worker whose own slab is exhausted claims the remaining blocks of
+// its peers' slabs, so heavy-degree shards no longer serialize the loop.
 //
 // The determinism contract is unchanged: callers that need bit-identical
 // results across thread counts write into per-index slots and reduce
 // serially in index order; stealing reorders only execution, which such
 // callers cannot observe. The same seed produces the same output for
-// every DOSN_THREADS / DOSN_STEAL_GRAIN value.
+// every DOSN_THREADS value and every RuntimeOptions::steal_grain.
 //
 // `parallel_for_each` is the convenience entry point: with a null pool or
 // a single-thread pool it degenerates to a plain serial loop on the

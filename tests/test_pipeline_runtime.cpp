@@ -1,13 +1,14 @@
 // Unit and stress tests for the work-stealing pipeline runtime
-// (util/pipeline_runtime.hpp, util/steal_deque.hpp).
+// (util/pipeline_runtime.hpp).
 //
-// The suite names carry "PipelineRuntime" / "StealDeque" so the
-// ThreadSanitizer CI job's -R filter picks every test up: the deque
-// take/steal protocol is exactly the code whose bugs only surface as data
-// races.
+// The suite name carries "PipelineRuntime" so the ThreadSanitizer CI
+// job's -R filter picks every test up: the slab-cursor claims, the
+// per-worker error and steal merge, and the job rendezvous are exactly
+// the code whose bugs only surface as data races.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -16,58 +17,10 @@
 
 #include "obs/obs.hpp"
 #include "util/pipeline_runtime.hpp"
-#include "util/steal_deque.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dosn::util {
 namespace {
-
-TEST(StealDeque, OwnerTakesLifoThievesStealFifo) {
-  StealDeque d;
-  for (std::size_t i = 0; i < 4; ++i) d.push({i, i + 1});
-  IndexBlock b;
-  ASSERT_TRUE(d.steal(b));
-  EXPECT_EQ(b.begin, 0u);  // FIFO from the top
-  ASSERT_TRUE(d.take(b));
-  EXPECT_EQ(b.begin, 3u);  // LIFO from the bottom
-  ASSERT_TRUE(d.take(b));
-  EXPECT_EQ(b.begin, 2u);
-  ASSERT_TRUE(d.steal(b));
-  EXPECT_EQ(b.begin, 1u);
-  EXPECT_TRUE(d.empty());
-  EXPECT_FALSE(d.take(b));
-  EXPECT_FALSE(d.steal(b));
-}
-
-// The claim protocol under contention: one owner taking, several thieves
-// stealing, every block claimed exactly once. Run under TSan this also
-// checks the memory-order discipline of take/steal.
-TEST(StealDeque, EveryBlockClaimedExactlyOnceUnderContention) {
-  constexpr std::size_t kBlocks = 4096;
-  constexpr std::size_t kThieves = 3;
-  StealDeque d;
-  for (std::size_t i = 0; i < kBlocks; ++i) d.push({i, i + 1});
-
-  std::vector<std::atomic<int>> claims(kBlocks);
-  std::atomic<bool> go{false};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (std::size_t t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      IndexBlock b;
-      while (!d.empty())
-        if (d.steal(b)) ++claims[b.begin];
-    });
-  }
-  go.store(true, std::memory_order_release);
-  IndexBlock b;
-  while (d.take(b)) ++claims[b.begin];
-  for (auto& thief : thieves) thief.join();
-
-  for (std::size_t i = 0; i < kBlocks; ++i)
-    ASSERT_EQ(claims[i].load(), 1) << "block " << i;
-}
 
 TEST(PipelineRuntime, CoversEveryIndexOnceAcrossThreadsAndGrains) {
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -127,6 +80,32 @@ TEST(PipelineRuntime, PropagatesExceptionsFromAnySeedSlab) {
   }
 }
 
+// DESIGN.md §12's error contract: a throwing index skips only the rest of
+// its own block; every other block still runs, each index exactly once.
+TEST(PipelineRuntime, ThrowingBlockSkipsOnlyItsOwnTail) {
+  PipelineRuntime runtime({.threads = 4, .steal_grain = 4});
+  constexpr std::size_t kN = 64;
+  for (const std::size_t bad : {std::size_t{5}, std::size_t{61}}) {
+    std::vector<std::atomic<int>> hits(kN);
+    EXPECT_THROW(runtime.parallel_for_index(
+                     kN,
+                     [&](std::size_t i) {
+                       ++hits[i];
+                       if (i == bad) throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error)
+        << "throwing index " << bad;
+    // Blocks are [4k, 4k + 4): only the indices after `bad` in its own
+    // block are skipped.
+    const std::size_t block_end = (bad / 4 + 1) * 4;
+    for (std::size_t i = 0; i < kN; ++i) {
+      const int expected = (i > bad && i < block_end) ? 0 : 1;
+      ASSERT_EQ(hits[i].load(), expected)
+          << "throwing index " << bad << ", i=" << i;
+    }
+  }
+}
+
 // A nested job issued from inside a block inlines serially instead of
 // deadlocking the rendezvous; every inner index still runs exactly once.
 TEST(PipelineRuntime, NestedJobsInlineSerially) {
@@ -161,8 +140,8 @@ TEST(PipelineRuntime, NestedParallelForEachOnOnePool) {
 // Stress for the ThreadSanitizer job: many short jobs from a churn of
 // callers on one runtime, tiny grain so stealing is constant, shared
 // per-index slots plus an atomic reduction, and exception propagation
-// under load. A race in the deque protocol, the SPSC-style completion
-// counter, or the rendezvous surfaces here.
+// under load. A race in the cursor claims, the error and steal merge, or
+// the rendezvous surfaces here.
 TEST(PipelineRuntime, StressManyShortJobsWithStealing) {
   PipelineRuntime runtime({.threads = 4, .steal_grain = 1});
   std::atomic<long> total{0};
@@ -189,6 +168,28 @@ TEST(PipelineRuntime, StressManyShortJobsWithStealing) {
   std::atomic<int> count{0};
   runtime.parallel_for_index(32, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 32);
+}
+
+// Worker 0's slab is slow, so its peers finish their own slabs and claim
+// its blocks while it is still working through them: the cross-slab claim
+// path under real contention (a TSan target). Whether any claim actually
+// lands on a peer depends on the scheduler, so steals are only bounded.
+TEST(PipelineRuntime, PeersDrainASlowSlabExactlyOnce) {
+  PipelineRuntime runtime({.threads = 4, .steal_grain = 1});
+  constexpr std::size_t kN = 64;
+  constexpr std::size_t kSlowEnd = kN / 4;  // worker 0's seed slab
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits(kN);
+    const auto stats = runtime.parallel_for_index(kN, [&](std::size_t i) {
+      if (i < kSlowEnd)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      ++hits[i];
+    });
+    for (std::size_t i = 0; i < kN; ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << ", i=" << i;
+    EXPECT_EQ(stats.blocks, kN);
+    EXPECT_LE(stats.steals, stats.blocks);
+  }
 }
 
 // Deterministic per-index slots under heavy stealing: the steal schedule

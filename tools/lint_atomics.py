@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Atomics-discipline linter for the dosn-study sources.
 
-The work-stealing runtime (DESIGN.md §12) and the observability layer
-(§9) put the hot path on hand-ordered atomics. A single wrong
+The work-stealing runtime's slab cursors (DESIGN.md §12) and the
+observability layer (§9) put the hot path on hand-ordered atomics. A single wrong
 `memory_order_relaxed` is invisible to tests and to TSan on the
 interleavings a run happens to explore, and only corrupts a sweep
 checksum on weaker hardware. This linter enforces the repo's atomics
