@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
-// interval algebra, worst-case wait analysis, greedy placement, the delay
+// interval algebra, the pair-delay kernels, greedy placement, the delay
 // metric, per-user evaluation tables, and the event-driven replica
 // simulator.
 #include <benchmark/benchmark.h>
@@ -50,15 +50,6 @@ void BM_IntervalIntersectMeasure(benchmark::State& state) {
     benchmark::DoNotOptimize(a.set().intersection_measure(b.set()));
 }
 BENCHMARK(BM_IntervalIntersectMeasure)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_WorstCaseWait(benchmark::State& state) {
-  dosn::util::Rng rng(3);
-  const auto a = random_schedule(rng, static_cast<int>(state.range(0)));
-  const auto b = random_schedule(rng, static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dosn::interval::worst_case_wait(a, b));
-}
-BENCHMARK(BM_WorstCaseWait)->Arg(4)->Arg(16)->Arg(64);
 
 // The observed-delay kernel: the worst reader-online time in a window of
 // the delay's length ending at an online instant, one sweep over the
@@ -256,6 +247,12 @@ BENCHMARK_CAPTURE(BM_ConRepSelect, Random,
     ->Arg(7)
     ->Arg(64)
     ->Arg(512);
+// CoreGroup tries every candidate on a copy of its picked group each
+// round, so it stays at the smaller degrees.
+BENCHMARK_CAPTURE(BM_ConRepSelect, CoreGroup,
+                  dosn::placement::PolicyKind::kCoreGroup)
+    ->Arg(7)
+    ->Arg(64);
 
 // Fork-join overhead of the deterministic thread pool (per-index work is
 // trivial, so this measures dispatch + join cost).

@@ -55,18 +55,9 @@ class DaySchedule {
   /// Is the node online at absolute time t (projected onto the day)?
   bool online_at(Seconds t) const { return set_.contains(time_of_day(t)); }
 
-  /// Circular wait from time-of-day `t` until the schedule is next online;
-  /// zero when online at t; nullopt when the schedule is empty. The result
-  /// is < kDaySeconds.
-  std::optional<Seconds> wait_until_online(Seconds t) const;
-
   /// Earliest instant in [t, horizon) at which the schedule is online, or
   /// nullopt: for t >= 0, the schedule's pieces tiled daily from 0 on.
-  std::optional<Seconds> next_online(Seconds t, Seconds horizon) const {
-    const auto wait = wait_until_online(t);
-    if (!wait || t + *wait >= horizon) return std::nullopt;
-    return t + *wait;
-  }
+  std::optional<Seconds> next_online(Seconds t, Seconds horizon) const;
 
   DaySchedule unite(const DaySchedule& other) const {
     return DaySchedule(set_.unite(other.set_));
@@ -98,20 +89,5 @@ class DaySchedule {
  private:
   IntervalSet set_;
 };
-
-/// Result of a worst-case wait analysis: the maximal wait and a time-of-day
-/// achieving it.
-struct WorstWait {
-  Seconds wait = 0;  ///< seconds until `target` is reachable, worst case
-  Seconds at = 0;    ///< time-of-day of the worst-case event
-};
-
-/// Worst case, over event times t in `source`, of the circular wait from t
-/// until the next instant `target` is online. This is the exact general form
-/// of the paper's per-edge delay "24h − overlap" (to which it reduces when
-/// both schedules are single daily intervals). Returns nullopt when either
-/// schedule is empty.
-std::optional<WorstWait> worst_case_wait(const DaySchedule& source,
-                                         const DaySchedule& target);
 
 }  // namespace dosn::interval

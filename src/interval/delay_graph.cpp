@@ -40,9 +40,10 @@ std::optional<Seconds> direct_delay(Pieces s, Pieces t) {
   return worst;
 }
 
-// kRelay edge: worst_case_wait(S, T), walking its two candidate families
-// (source starts, and target ends in the closure of S) with forward
-// pointers in O(|S| + |T|). Both spans are non-empty.
+// kRelay edge: the worst-case wait from S until T is online, walking its
+// two candidate event-time families (source starts, and target ends in the
+// closure of S) with forward pointers in O(|S| + |T|). Both spans are
+// non-empty.
 Seconds relay_delay(Pieces s, Pieces t) {
   Seconds worst = 0;
   // A source start waits 0 inside T (next - start <= 0 then), otherwise
@@ -98,6 +99,21 @@ void PairDelayMemo::set_node(std::size_t key, Pieces pieces) {
   nodes_[key] = pieces;
 }
 
+std::size_t PairDelayMemo::add_node(Pieces pieces) {
+  const std::size_t n = nodes_.size();
+  nodes_.push_back(pieces);
+  // Restride in place: entry (i, j) moves from i*n + j to i*(n+1) + j,
+  // never to a lower index, so walking the old entries from the back never
+  // overwrites one not yet read. The new row comes from the resize.
+  edges_.resize((n + 1) * (n + 1), -1);
+  for (std::size_t i = n; i-- > 0;) {
+    edges_[i * (n + 1) + n] = -1;
+    for (std::size_t j = n; j-- > 0;)
+      edges_[i * (n + 1) + j] = edges_[i * n + j];
+  }
+  return n;
+}
+
 Seconds PairDelayMemo::fill(std::size_t from, std::size_t to) {
   const std::size_t n = nodes_.size();
   Seconds& forward = edges_[from * n + to];
@@ -118,40 +134,13 @@ Seconds PairDelayMemo::fill(std::size_t from, std::size_t to) {
   return forward;
 }
 
-void IncrementalGroupDelay::push(const DaySchedule& node) {
-  DOSN_ASSERT(memo_ == nullptr);
-  const std::size_t slot = pushed_++;
-  if (node.empty()) return;
-
-  const std::size_t m = participants_.size();
-  const Pieces v = node.set().pieces();
-  // One-hop edges between the existing participants and the new node, both
-  // directions (the delay graph is directed; kDirect edges are symmetric,
-  // so one evaluation serves both).
-  edge_to_.resize(m);
-  edge_from_.resize(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    const Pieces u{pieces_.data() + participants_[p].begin,
-                   pieces_.data() + participants_[p].end};
-    if (mode_ == RendezvousMode::kDirect) {
-      edge_to_[p] = edge_from_[p] = direct_delay(u, v).value_or(kInf);
-      edge_evaluations_ += 1;
-    } else {
-      edge_to_[p] = relay_delay(u, v);
-      edge_from_[p] = relay_delay(v, u);
-      edge_evaluations_ += 2;
-    }
-  }
-  append(slot, 0, v);
-}
-
 void IncrementalGroupDelay::push(std::size_t key, PairDelayMemo& memo) {
   DOSN_ASSERT(memo.mode() == mode_);
-  DOSN_ASSERT(memo_ == &memo || (memo_ == nullptr && pieces_.empty()));
-  memo_ = &memo;
   const std::size_t slot = pushed_++;
   if (memo.node(key).empty()) return;
 
+  // One-hop edges between the existing participants and the new node, both
+  // directions (the delay graph is directed).
   const std::size_t m = participants_.size();
   edge_to_.resize(m);
   edge_from_.resize(m);
@@ -160,12 +149,7 @@ void IncrementalGroupDelay::push(std::size_t key, PairDelayMemo& memo) {
     edge_to_[p] = memo.edge(other, key).value_or(kInf);
     edge_from_[p] = memo.edge(key, other).value_or(kInf);
   }
-  append(slot, key, {});
-}
 
-void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
-                                   Pieces v) {
-  const std::size_t m = participants_.size();
   // Shortest i -> new and new -> j. A shortest path touches the new node
   // only at its endpoint (weights are nonnegative), so it decomposes into
   // an old-graph shortest path plus one new edge. No entry exceeds kInf, so
@@ -185,10 +169,8 @@ void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
     dist_from_[j] = best;
   }
 
-  // Relax old pairs through the new node and restride the matrix in place.
-  // Entry (i, j) moves from i*m + j to i*(m+1) + j, never to a lower index,
-  // so walking the old entries from the back never overwrites one not yet
-  // read.
+  // Relax old pairs through the new node and restride the matrix in place,
+  // from the back as PairDelayMemo::add_node does.
   dist_.resize((m + 1) * (m + 1));
   for (std::size_t i = m; i-- > 0;)
     for (std::size_t j = m; j-- > 0;)
@@ -199,32 +181,24 @@ void IncrementalGroupDelay::append(std::size_t slot, std::size_t key,
     dist_[m * (m + 1) + i] = dist_from_[i];
   }
   dist_[m * (m + 1) + m] = 0;
-
-  const std::size_t begin = pieces_.size();
-  pieces_.insert(pieces_.end(), v.begin(), v.end());
-  participants_.push_back({slot, key, begin, pieces_.size()});
+  participants_.push_back({slot, key});
 }
 
 void IncrementalGroupDelay::reset(RendezvousMode mode) {
   mode_ = mode;
   pushed_ = 0;
-  edge_evaluations_ = 0;
-  memo_ = nullptr;
   participants_.clear();
-  pieces_.clear();
   dist_.clear();
 }
 
-std::span<const Interval> IncrementalGroupDelay::pieces(
-    std::size_t slot) const {
+std::size_t IncrementalGroupDelay::key(std::size_t slot) const {
   const auto it = std::lower_bound(
       participants_.begin(), participants_.end(), slot,
       [](const Participant& p, std::size_t s) { return p.slot < s; });
   DOSN_CHECK(it != participants_.end() && it->slot == slot,
-             "IncrementalGroupDelay::pieces: slot ", slot,
+             "IncrementalGroupDelay::key: slot ", slot,
              " is not a participant");
-  if (memo_ != nullptr) return memo_->node(it->key);
-  return {pieces_.data() + it->begin, pieces_.data() + it->end};
+  return it->key;
 }
 
 GroupDelayResult IncrementalGroupDelay::result() const {
@@ -250,8 +224,13 @@ GroupDelayResult IncrementalGroupDelay::result() const {
 
 GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
                              RendezvousMode mode) {
+  PairDelayMemo memo;
+  memo.reset(mode, nodes.size());
   IncrementalGroupDelay group(mode);
-  for (const DaySchedule& node : nodes) group.push(node);
+  for (std::size_t key = 0; key < nodes.size(); ++key) {
+    memo.set_node(key, nodes[key].set().pieces());
+    group.push(key, memo);
+  }
   return group.result();
 }
 

@@ -6,9 +6,11 @@
 // wait until the two can next exchange state — directly while both online
 // (kDirect / the paper's ConRep) or through an always-online relay
 // (kRelay / UnconRep). The group delay is the weighted diameter of the
-// all-pairs shortest paths. metrics::update_propagation_delay wraps this;
-// delay-aware placement policies consume it directly, and the study
-// engine's per-user tables read their edges from a PairDelayMemo.
+// all-pairs shortest paths. Every group delay reads its one-hop edges from
+// a PairDelayMemo and grows an IncrementalGroupDelay by memo key: the
+// study engine's per-user tables, CoreGroup's selection rounds, and the
+// schedule-fed group_delay and metrics::DelayPrefixEvaluator, which add
+// one memo node per schedule.
 //
 // Closed form of the kDirect edge: the largest circular gap of the
 // rendezvous R = S ∩ T (for each R piece, the next R start, wrapping to
@@ -42,9 +44,11 @@ enum class RendezvousMode {
 };
 
 /// Worst-case one-hop delay from `source` to `target`; nullopt when the
-/// pair can never exchange state. Equals worst_case_wait(source,
-/// source ∩ target) under kDirect and worst_case_wait(source, target)
-/// under kRelay, computed in one allocation-free O(|S| + |T|) sweep.
+/// pair can never exchange state. Equals the worst-case wait from
+/// `source` until source ∩ target is online under kDirect, and until
+/// `target` is online under kRelay (tests/pair_delay_oracle.cpp keeps that
+/// event-time form as the oracle), computed in one allocation-free
+/// O(|S| + |T|) sweep.
 std::optional<Seconds> pair_delay(const DaySchedule& source,
                                   const DaySchedule& target,
                                   RendezvousMode mode);
@@ -61,22 +65,26 @@ struct GroupDelayResult {
   std::size_t participants = 0;
 };
 
-/// Diameter of the group's delay graph: IncrementalGroupDelay over the
-/// whole span. Fewer than two participants yield a zero diameter.
+/// Diameter of the group's delay graph: an IncrementalGroupDelay over a
+/// PairDelayMemo of the whole span. Fewer than two participants yield a
+/// zero diameter.
 GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
                              RendezvousMode mode);
 
-/// One-hop delays among a fixed set of nodes, each evaluated on first use.
+/// One-hop delays among a set of nodes, each evaluated on first use: the
+/// only source of edges for every group delay.
 ///
 /// The study engine evaluates every placement run of one user (the
 /// policies and their repetitions, each a different order over the same
 /// owner and contacts) against one memo keyed by contact position, so an
 /// edge kernel runs at most once per node pair per user however many runs
-/// push that pair. Under kDirect the edge is symmetric and one kernel fills
-/// both directions; under kRelay the first use of either direction runs
-/// the two kernels of the pair. Entries never requested are never
-/// evaluated, so a user never runs more kernels than per-run evaluation
-/// would.
+/// push that pair. CoreGroup keys its owner and candidates the same way
+/// for the rounds of one selection; the schedule-fed entry points
+/// (group_delay, metrics::DelayPrefixEvaluator) add one node per schedule.
+/// Under kDirect the edge is symmetric and one kernel fills both
+/// directions; under kRelay the first use of either direction runs the two
+/// kernels of the pair. Entries never requested are never evaluated, so a
+/// user never runs more kernels than per-run evaluation would.
 class PairDelayMemo {
  public:
   /// Empties the memo and sizes it for `nodes` nodes (keys 0..nodes-1,
@@ -87,6 +95,11 @@ class PairDelayMemo {
   /// Points key `key` at `pieces`, which must stay alive while the memo is
   /// used. Must precede every edge() touching the key.
   void set_node(std::size_t key, std::span<const Interval> pieces);
+
+  /// Appends a node over `pieces` (same lifetime rule as set_node) and
+  /// returns its key, the old node count. The edges already evaluated keep
+  /// their weights; the new node's are unevaluated.
+  std::size_t add_node(std::span<const Interval> pieces);
 
   RendezvousMode mode() const { return mode_; }
   std::span<const Interval> node(std::size_t key) const { return nodes_[key]; }
@@ -122,36 +135,28 @@ class PairDelayMemo {
 
 /// Incrementally maintained group_delay over a growing node sequence.
 ///
-/// After i push() calls, result() is group_delay(span of those i nodes,
-/// mode): the all-pairs shortest delays equal a batch Floyd–Warshall's
-/// (tests/pair_delay_oracle.cpp keeps one as the differential anchor).
-/// The study engine evaluates every replication prefix 0..k of a
-/// selection, so recomputing the all-pairs matrix per prefix costs O(k^2)
-/// pair_delay edge computations per prefix — O(k^3) total, with pair_delay
-/// (interval algebra) the expensive part. Growing the matrix one node at
-/// a time computes each edge exactly once: adding node v sets dist(i,v) =
+/// After i push() calls, result() is group_delay over the memo nodes of
+/// those i keys: the all-pairs shortest delays equal a batch
+/// Floyd–Warshall's (tests/pair_delay_oracle.cpp keeps one as the
+/// differential anchor). The study engine evaluates every replication
+/// prefix 0..k of a selection, so recomputing the all-pairs matrix per
+/// prefix costs O(k^2) edges per prefix — O(k^3) total. Growing the matrix
+/// one node at a time reads each edge once: adding node v sets dist(i,v) =
 /// min_j dist(i,j) + edge(j,v) and dist(v,j) symmetrically, then relaxes
 /// old pairs through v — exact for nonnegative weights, because a shortest
 /// path in the new graph either avoids v (old distance) or passes through
-/// v once. Under kDirect the edge is symmetric, so one kernel evaluation
-/// per unordered pair fills both directions; kRelay evaluates each
-/// ordered pair. The edges come from the schedules pushed, or, for pushes
-/// by key, from a PairDelayMemo shared by every run of one user, which
-/// takes the kernels out of the per-run work altogether; a key push copies
-/// no pieces either, since the memo already points at them.
+/// v once. Every edge comes from a PairDelayMemo, which runs each pair's
+/// kernel at most once however many groups read it, and the group copies
+/// no pieces. A copy of a group is an independent group over the same memo
+/// (CoreGroup tries each candidate on a copy of its picked group).
 class IncrementalGroupDelay {
  public:
   explicit IncrementalGroupDelay(RendezvousMode mode) : mode_(mode) {}
 
-  /// Appends the next node. Empty schedules are recorded (they keep their
-  /// slot in the input indexing) but never participate.
-  void push(const DaySchedule& node);
-
-  /// Appends node `key` of `memo`, reading its one-hop edges from the memo
-  /// instead of evaluating them (and leaving edge_evaluations() alone; the
-  /// memo counts its own kernels). A group is fed either by schedules or by
-  /// keys of one memo, never both, and the memo's mode must be the group's.
-  /// The memo must outlive the group's use of pieces().
+  /// Appends node `key` of `memo`, reading its one-hop edges with the
+  /// nodes pushed before. An empty node is recorded (it keeps its slot in
+  /// the push order) but never participates. Every push of a group reads
+  /// one memo, whose mode must be the group's.
   void push(std::size_t key, PairDelayMemo& memo);
 
   /// Returns to the empty state (as freshly constructed with `mode`) while
@@ -162,31 +167,16 @@ class IncrementalGroupDelay {
   /// Equivalent of group_delay over every node pushed so far.
   GroupDelayResult result() const;
 
-  std::size_t pushed() const { return pushed_; }
-
-  /// Pieces of the non-empty node pushed at `slot` (push order, as
-  /// GroupDelayResult::worst_target counts): the memo's node for key
-  /// pushes, a range of the flat buffer for schedule pushes.
-  std::span<const Interval> pieces(std::size_t slot) const;
-
-  /// Edge kernels evaluated by schedule pushes since construction or the
-  /// last reset(): n(n-1)/2 for n participants under kDirect, n(n-1) under
-  /// kRelay.
-  std::uint64_t edge_evaluations() const { return edge_evaluations_; }
+  /// Memo key of the non-empty node pushed at `slot` (push order, as
+  /// GroupDelayResult::worst_target counts).
+  std::size_t key(std::size_t slot) const;
 
  private:
-  /// A non-empty pushed node: its slot in push order, its memo key (key
-  /// pushes only) and its pieces' range in pieces_ (schedule pushes only).
+  /// A non-empty pushed node: its slot in push order and its memo key.
   struct Participant {
     std::size_t slot = 0;
     std::size_t key = 0;
-    std::size_t begin = 0, end = 0;
   };
-
-  /// Adds the new node's row and column from edge_to_ / edge_from_ (one-hop
-  /// edges with each existing participant) and records it, keeping `v` in
-  /// the flat buffer (empty for key pushes).
-  void append(std::size_t slot, std::size_t key, std::span<const Interval> v);
 
   Seconds at(std::size_t i, std::size_t j) const {
     return dist_[i * participants_.size() + j];
@@ -194,11 +184,8 @@ class IncrementalGroupDelay {
 
   RendezvousMode mode_;
   std::size_t pushed_ = 0;
-  std::uint64_t edge_evaluations_ = 0;
-  const PairDelayMemo* memo_ = nullptr;    // key pushes' memo
   std::vector<Participant> participants_;
-  std::vector<Interval> pieces_;           // schedule pushes' pieces, flat
-  std::vector<Seconds> dist_;              // shortest delays, row-major
+  std::vector<Seconds> dist_;  // shortest delays, row-major
   // push() scratch, kept as members so steady-state pushes are
   // allocation-free once the buffers have warmed up.
   std::vector<Seconds> edge_to_, edge_from_;

@@ -15,9 +15,9 @@ interval::RendezvousMode mode_of(Connectivity connectivity) {
 }
 
 // worst_observed_delay over the reader's canonical within-day pieces (a
-// DaySchedule's, or IncrementalGroupDelay::pieces of a participant). The
-// window of length `actual` ends at an instant the reader is online, and
-// its online time is largest at a piece end e_k, so piece ends suffice.
+// DaySchedule's, or a PairDelayMemo node's). The window of length
+// `actual` ends at an instant the reader is online, and its online time
+// is largest at a piece end e_k, so piece ends suffice.
 // Each full day of the window counts the whole schedule; the remainder r
 // is the circular window [e_k − r, e_k). Over the pieces doubled across
 // midnight (index i < p is piece i shifted back a day, p + i is piece i)
@@ -55,12 +55,6 @@ Seconds worst_observed(std::span<const interval::Interval> reader,
 
 }  // namespace
 
-std::optional<Seconds> edge_delay(const DaySchedule& source,
-                                  const DaySchedule& target,
-                                  Connectivity connectivity) {
-  return interval::pair_delay(source, target, mode_of(connectivity));
-}
-
 Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual) {
   return worst_observed(reader.set().pieces(), actual);
 }
@@ -68,20 +62,21 @@ Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual) {
 DelayPrefixEvaluator::DelayPrefixEvaluator(const DaySchedule& owner,
                                            Connectivity connectivity)
     : group_(mode_of(connectivity)) {
-  push(owner);
+  reset(owner, connectivity);
 }
 
 void DelayPrefixEvaluator::push(const DaySchedule& replica) {
   DOSN_ASSERT(memo_ == nullptr);
-  group_.push(replica);
+  push(own_.add_node(replica.set().pieces()));
 }
 
 void DelayPrefixEvaluator::reset(const DaySchedule& owner,
                                  Connectivity connectivity) {
+  own_.reset(mode_of(connectivity), 0);
   memo_ = nullptr;
   observed_pieces_ = 0;
-  group_.reset(mode_of(connectivity));
-  group_.push(owner);
+  group_.reset(own_.mode());
+  push(own_.add_node(owner.set().pieces()));
 }
 
 void DelayPrefixEvaluator::reset(interval::PairDelayMemo& memo,
@@ -89,13 +84,10 @@ void DelayPrefixEvaluator::reset(interval::PairDelayMemo& memo,
   memo_ = &memo;
   observed_pieces_ = 0;
   group_.reset(memo.mode());
-  group_.push(owner_key, memo);
+  push(owner_key);
 }
 
-void DelayPrefixEvaluator::push(std::size_t key) {
-  DOSN_ASSERT(memo_ != nullptr);
-  group_.push(key, *memo_);
-}
+void DelayPrefixEvaluator::push(std::size_t key) { group_.push(key, memo()); }
 
 DelayResult DelayPrefixEvaluator::result() const {
   const auto group = group_.result();
@@ -107,7 +99,7 @@ DelayResult DelayPrefixEvaluator::result() const {
   // A zero diameter leaves worst_target at its default slot, which may be
   // an empty node; the observed delay is zero then anyway.
   if (group.participants >= 2 && group.diameter > 0) {
-    const auto reader = group_.pieces(group.worst_target);
+    const auto reader = memo().node(group_.key(group.worst_target));
     observed_pieces_ += reader.size();
     result.observed = worst_observed(reader, group.diameter);
   }

@@ -56,13 +56,6 @@ struct DelayResult {
   }
 };
 
-/// Worst-case delay of one direct exchange from `source` to `target`
-/// (ConRep: via their rendezvous overlap; UnconRep: via the relay).
-/// nullopt when no exchange is ever possible.
-std::optional<Seconds> edge_delay(const DaySchedule& source,
-                                  const DaySchedule& target,
-                                  Connectivity connectivity);
-
 /// Update propagation delay for one user's replica configuration. Replicas
 /// with empty schedules can never exchange updates and are excluded (they
 /// also cannot be selected by ConRep placement). With fewer than two
@@ -83,15 +76,22 @@ Seconds worst_observed_delay(const DaySchedule& reader, Seconds actual);
 /// replicas r_0..r_{i-1}, result() is the batch definition over the owner
 /// and r_0..r_{i-1}: the all-pairs diameter and worst_observed_delay at
 /// its target (tests/pair_delay_oracle.cpp keeps that batch form as the
-/// differential anchor). The whole prefix sequence costs one edge kernel
-/// per node pair (unordered under ConRep, ordered under UnconRep) instead
-/// of one per pair per prefix. Once warmed, reset() and push() do not
-/// allocate.
+/// differential anchor). Every run reads its edges from a PairDelayMemo,
+/// so the whole prefix sequence costs one edge kernel per node pair
+/// (unordered under ConRep, ordered under UnconRep) instead of one per
+/// pair per prefix. Once warmed, reset() and push() do not allocate.
+///
+/// A schedule-fed run (the constructor, reset(owner, connectivity) and
+/// push(schedule)) adds each schedule to a memo the evaluator owns. That
+/// memo points at the schedules' pieces and copies none, so every schedule
+/// passed in must stay alive, unmodified, until the next reset() or the
+/// last result() of the run. A copy of the evaluator reads its own copy of
+/// that memo, which points at the same schedules.
 class DelayPrefixEvaluator {
  public:
   DelayPrefixEvaluator(const DaySchedule& owner, Connectivity connectivity);
 
-  /// Appends the next replica of the selection order.
+  /// Appends the next replica of the selection order (schedule runs).
   void push(const DaySchedule& replica);
 
   /// Restarts the evaluator for a new owner (as freshly constructed) while
@@ -104,26 +104,28 @@ class DelayPrefixEvaluator {
   /// connectivity is the memo's mode.
   void reset(interval::PairDelayMemo& memo, std::size_t owner_key);
 
-  /// Appends the replica at `key` of the memo passed to reset().
+  /// Appends the replica at `key` of the run's memo: the one passed to
+  /// reset(memo, owner_key), or the owned memo of a schedule run.
   void push(std::size_t key);
 
   /// Delay metrics for the owner plus every replica pushed so far.
   DelayResult result() const;
-
-  /// Edge kernel evaluations since the last reset (see
-  /// IncrementalGroupDelay::edge_evaluations).
-  std::uint64_t edge_evaluations() const { return group_.edge_evaluations(); }
 
   /// Reader pieces result() passed to the observed-delay kernel since the
   /// last reset, summed over calls.
   std::uint64_t observed_pieces() const { return observed_pieces_; }
 
  private:
+  interval::PairDelayMemo& memo() { return memo_ ? *memo_ : own_; }
+  const interval::PairDelayMemo& memo() const {
+    return memo_ ? *memo_ : own_;
+  }
+
   /// Owner at slot 0, then the pushed replicas; the observed delay reads
-  /// the worst target's pieces from the memo (key runs) or from the
-  /// group's flat buffer (schedule runs).
+  /// the worst target's pieces from the run's memo.
   interval::IncrementalGroupDelay group_;
-  interval::PairDelayMemo* memo_ = nullptr;  ///< key runs only
+  interval::PairDelayMemo own_;              ///< schedule runs' memo
+  interval::PairDelayMemo* memo_ = nullptr;  ///< key runs' memo; null: own_
   mutable std::uint64_t observed_pieces_ = 0;
 };
 

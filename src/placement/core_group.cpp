@@ -14,7 +14,24 @@ void CoreGroupPolicy::select_impl(const PlacementContext& context, util::Rng&,
   const DaySchedule& owner = context.schedule_of(context.user);
 
   interval::IntervalSet& covered = scratch.covered = owner.set();
-  std::vector<DaySchedule> group{owner};
+  // Every round reads the same pair edges, so each pair's kernel runs at
+  // most once per selection.
+  interval::PairDelayMemo& memo = scratch.memo;
+  memo.reset(mode, context.candidates.size() + 1);
+  memo.set_node(0, owner.set().pieces());
+  std::size_t cover_pieces = owner.set().pieces().size();
+  for (std::size_t i = 0; i < context.candidates.size(); ++i) {
+    const auto pieces = context.candidate_schedule(i).set().pieces();
+    memo.set_node(i + 1, pieces);
+    cover_pieces += pieces.size();
+  }
+  // No union of the picks holds more pieces than the owner and every
+  // candidate together, so which candidates are picked never decides
+  // whether a select allocates.
+  covered.reserve(cover_pieces);
+  scratch.cover_buffer.reserve(cover_pieces);
+  scratch.group.reset(mode);
+  scratch.group.push(0, memo);
 
   scratch.start(context);
   while (scratch.selection.size() < context.max_replicas) {
@@ -27,9 +44,9 @@ void CoreGroupPolicy::select_impl(const PlacementContext& context, util::Rng&,
       const Seconds gain = cand.set().subtract_measure(covered);
       if (gain <= 0) continue;  // only replicas that add availability
 
-      group.push_back(cand);
-      const auto delay = interval::group_delay(group, mode);
-      group.pop_back();
+      scratch.trial = scratch.group;
+      scratch.trial.push(i + 1, memo);
+      const auto delay = scratch.trial.result();
       // Candidates that would split the group are never preferable.
       const Seconds diameter =
           delay.fully_connected ? delay.diameter
@@ -46,9 +63,9 @@ void CoreGroupPolicy::select_impl(const PlacementContext& context, util::Rng&,
     if (best < 0) break;
     const std::size_t idx = static_cast<std::size_t>(best);
     scratch.take(context, idx);
-    const DaySchedule& sched = context.candidate_schedule(idx);
-    covered.unite_with(sched.set(), &scratch.cover_buffer);
-    group.push_back(sched);
+    covered.unite_with(context.candidate_schedule(idx).set(),
+                       &scratch.cover_buffer);
+    scratch.group.push(idx + 1, memo);
   }
 }
 

@@ -18,7 +18,8 @@ std::string HybridPolicy::name() const {
 void HybridPolicy::select_impl(const PlacementContext& context, util::Rng&,
                                PlacementScratch& scratch) const {
   DOSN_REQUIRE(context.trace != nullptr, "Hybrid needs the activity trace");
-  std::vector<double> activity(context.candidates.size());
+  std::vector<double>& activity = scratch.activity;
+  activity.assign(context.candidates.size(), 0.0);
   double max_activity = 0.0;
   for (std::size_t i = 0; i < context.candidates.size(); ++i) {
     activity[i] = static_cast<double>(context.trace->interaction_count(
@@ -34,20 +35,21 @@ void HybridPolicy::select_impl(const PlacementContext& context, util::Rng&,
   while (scratch.selection.size() < context.max_replicas) {
     // Collect eligible candidates with their raw coverage gains first: the
     // coverage component is normalized over the current pool.
-    std::vector<std::pair<std::size_t, Seconds>> eligible;
+    auto& pool = scratch.pool;
+    pool.clear();
     Seconds max_gain = 0;
     for (std::size_t i = 0; i < context.candidates.size(); ++i) {
       if (!scratch.eligible(i)) continue;
       const Seconds gain =
           context.candidate_schedule(i).set().subtract_measure(covered);
-      eligible.emplace_back(i, gain);
+      pool.emplace_back(i, gain);
       max_gain = std::max(max_gain, gain);
     }
-    if (eligible.empty()) break;
+    if (pool.empty()) break;
 
     std::ptrdiff_t best = -1;
     double best_score = -1.0;
-    for (const auto& [i, gain] : eligible) {
+    for (const auto& [i, gain] : pool) {
       const double coverage =
           max_gain > 0 ? static_cast<double>(gain) /
                              static_cast<double>(max_gain)

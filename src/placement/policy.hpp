@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "interval/day_schedule.hpp"
+#include "interval/delay_graph.hpp"
 #include "trace/activity.hpp"
 #include "util/rng.hpp"
 
@@ -161,6 +162,15 @@ struct PlacementScratch {
   std::vector<interval::Interval> cover_buffer;  ///< unite_with spare
   std::vector<Seconds> points;    ///< MaxAv activity instants
   std::vector<std::uint8_t> point_covered;
+  /// CoreGroup: owner at memo key 0 and candidate i at key i + 1, the
+  /// picked group, and the copy of it each candidate is tried on.
+  interval::PairDelayMemo memo;
+  interval::IncrementalGroupDelay group{interval::RendezvousMode::kDirect};
+  interval::IncrementalGroupDelay trial{interval::RendezvousMode::kDirect};
+  /// Hybrid: normalized activity per candidate, and the eligible pool
+  /// with raw coverage gains.
+  std::vector<double> activity;
+  std::vector<std::pair<std::size_t, Seconds>> pool;
   std::vector<UserId> selection;  ///< what select returns
 };
 

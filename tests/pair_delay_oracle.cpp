@@ -11,7 +11,54 @@ namespace {
 
 constexpr Seconds kInf = std::numeric_limits<Seconds>::max() / 4;
 
+// Closure membership in circular time: t is in the closure of the set when
+// it lies inside a piece or on a piece boundary (a piece ending at 86400
+// closes onto time-of-day 0).
+bool closure_contains(const IntervalSet& set, Seconds t) {
+  if (set.contains(t)) return true;
+  for (const auto& piece : set.pieces())
+    if (time_of_day(piece.end) == t) return true;
+  return false;
+}
+
 }  // namespace
+
+std::optional<Seconds> wait_until_online(const DaySchedule& schedule,
+                                         Seconds t) {
+  const IntervalSet& set = schedule.set();
+  if (set.empty()) return std::nullopt;
+  t = time_of_day(t);
+  if (set.contains(t)) return 0;
+  if (auto next = set.next_at_or_after(t)) return *next - t;
+  return *set.first() + kDaySeconds - t;  // wrap to tomorrow's first piece
+}
+
+std::optional<WorstWait> worst_case_wait(const DaySchedule& source,
+                                         const DaySchedule& target) {
+  if (source.empty() || target.empty()) return std::nullopt;
+
+  // wait(t) decreases with slope -1 as t advances (and is 0 inside the
+  // target), jumping up exactly when t leaves a target interval. Hence the
+  // maximum over event times in the *closure* of `source` is attained
+  // either at the start of a source interval or at the end of a target
+  // interval touching the source (the node posts an update the instant the
+  // rendezvous window closes — the paper's worst case, which makes the
+  // single-interval edge weight exactly 24h − overlap).
+  WorstWait best{-1, 0};
+  auto consider = [&](Seconds t) {
+    const auto wait = wait_until_online(target, t);
+    DOSN_ASSERT(wait.has_value());
+    if (*wait > best.wait) best = WorstWait{*wait, t};
+  };
+
+  for (const auto& iv : source.set().pieces()) consider(iv.start);
+  for (const auto& iv : target.set().pieces()) {
+    const Seconds e = time_of_day(iv.end);  // iv.end == kDaySeconds wraps to 0
+    if (closure_contains(source.set(), e)) consider(e);
+  }
+  DOSN_ASSERT(best.wait >= 0);
+  return best;
+}
 
 Seconds online_within_window(const DaySchedule& schedule, Seconds t,
                              Seconds length) {

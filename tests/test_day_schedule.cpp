@@ -87,30 +87,30 @@ TEST(DaySchedule, ProjectManySessionsUnion) {
 
 TEST(DaySchedule, WaitUntilOnlineInsideIsZero) {
   auto s = sched({{10 * kH, 12 * kH}});
-  EXPECT_EQ(s.wait_until_online(11 * kH), 0);
-  EXPECT_EQ(s.wait_until_online(10 * kH), 0);
+  EXPECT_EQ(oracle::wait_until_online(s, 11 * kH), 0);
+  EXPECT_EQ(oracle::wait_until_online(s, 10 * kH), 0);
 }
 
 TEST(DaySchedule, WaitUntilOnlineForward) {
   auto s = sched({{10 * kH, 12 * kH}});
-  EXPECT_EQ(s.wait_until_online(8 * kH), 2 * kH);
+  EXPECT_EQ(oracle::wait_until_online(s, 8 * kH), 2 * kH);
   // Half-open: at 12:00 the node just went offline; next slot is tomorrow.
-  EXPECT_EQ(s.wait_until_online(12 * kH), 22 * kH);
+  EXPECT_EQ(oracle::wait_until_online(s, 12 * kH), 22 * kH);
 }
 
 TEST(DaySchedule, WaitUntilOnlineWrapsToTomorrow) {
   auto s = sched({{2 * kH, 3 * kH}});
-  EXPECT_EQ(s.wait_until_online(20 * kH), 6 * kH);
+  EXPECT_EQ(oracle::wait_until_online(s, 20 * kH), 6 * kH);
 }
 
 TEST(DaySchedule, WaitUntilOnlineEmptyIsNull) {
   DaySchedule never;
-  EXPECT_EQ(never.wait_until_online(0), std::nullopt);
+  EXPECT_EQ(oracle::wait_until_online(never, 0), std::nullopt);
 }
 
 TEST(DaySchedule, WaitHandlesAbsoluteTimes) {
   auto s = sched({{10 * kH, 12 * kH}});
-  EXPECT_EQ(s.wait_until_online(5 * kDaySeconds + 8 * kH), 2 * kH);
+  EXPECT_EQ(oracle::wait_until_online(s, 5 * kDaySeconds + 8 * kH), 2 * kH);
 }
 
 TEST(DaySchedule, NextOnlineMatchesTiledHorizonUnion) {
@@ -202,7 +202,7 @@ TEST(WorstCaseWait, PaperSingleIntervalFormula) {
   auto v1 = sched({{8 * kH, 14 * kH}});
   auto v2 = sched({{12 * kH, 18 * kH}});
   const auto overlap = v1.intersect(v2);  // 12:00-14:00, d = 2h
-  const auto worst = worst_case_wait(v1, overlap);
+  const auto worst = oracle::worst_case_wait(v1, overlap);
   ASSERT_TRUE(worst.has_value());
   EXPECT_EQ(worst->wait, kDaySeconds - 2 * kH);
   // Worst case: the update lands exactly when the rendezvous closes.
@@ -213,7 +213,7 @@ TEST(WorstCaseWait, SourceEqualsTargetStillPaysFullGap) {
   // Identical 6h windows: the paper's 24h - d still applies — an update at
   // the instant both go offline waits 18h for the next rendezvous.
   auto s = sched({{8 * kH, 14 * kH}});
-  const auto worst = worst_case_wait(s, s);
+  const auto worst = oracle::worst_case_wait(s, s);
   ASSERT_TRUE(worst.has_value());
   EXPECT_EQ(worst->wait, 18 * kH);
   EXPECT_EQ(worst->at, 14 * kH);
@@ -222,15 +222,15 @@ TEST(WorstCaseWait, SourceEqualsTargetStillPaysFullGap) {
 TEST(WorstCaseWait, EmptyEitherSideIsNull) {
   auto s = sched({{8 * kH, 14 * kH}});
   DaySchedule never;
-  EXPECT_EQ(worst_case_wait(never, s), std::nullopt);
-  EXPECT_EQ(worst_case_wait(s, never), std::nullopt);
+  EXPECT_EQ(oracle::worst_case_wait(never, s), std::nullopt);
+  EXPECT_EQ(oracle::worst_case_wait(s, never), std::nullopt);
 }
 
 TEST(WorstCaseWait, TargetNotSubsetOfSource) {
   // UnconRep-style: target is the receiver's whole schedule.
   auto src = sched({{8 * kH, 10 * kH}});
   auto dst = sched({{20 * kH, 21 * kH}});
-  const auto worst = worst_case_wait(src, dst);
+  const auto worst = oracle::worst_case_wait(src, dst);
   ASSERT_TRUE(worst.has_value());
   // Posting at 08:00 waits 12h; posting just before 10:00 waits 10h.
   EXPECT_EQ(worst->wait, 12 * kH);
@@ -241,7 +241,7 @@ TEST(WorstCaseWait, MultiIntervalWorstAtOverlapEnd) {
   // Source online 08-16; target online 09-10 and 13-14.
   auto src = sched({{8 * kH, 16 * kH}});
   auto dst = sched({{9 * kH, 10 * kH}, {13 * kH, 14 * kH}});
-  const auto worst = worst_case_wait(src, dst);
+  const auto worst = oracle::worst_case_wait(src, dst);
   ASSERT_TRUE(worst.has_value());
   // Worst: post at 14:00 (end of the late rendezvous, still online),
   // wait until 09:00 tomorrow = 19h.
@@ -271,7 +271,7 @@ TEST(WorstCaseWait, BruteForceAgreement) {
     const auto overlap = src.intersect(dst);
     if (overlap.empty()) continue;
 
-    const auto analytic = worst_case_wait(src, overlap);
+    const auto analytic = oracle::worst_case_wait(src, overlap);
     ASSERT_TRUE(analytic.has_value());
 
     // Brute force over the closure of the source at minute granularity
@@ -279,7 +279,7 @@ TEST(WorstCaseWait, BruteForceAgreement) {
     Seconds brute = 0;
     for (const auto& piece : src.set().pieces())
       for (Seconds t = piece.start; t <= piece.end; t += 60)
-        brute = std::max(brute, *overlap.wait_until_online(t));
+        brute = std::max(brute, *oracle::wait_until_online(overlap, t));
     EXPECT_EQ(analytic->wait, brute);
   }
 }

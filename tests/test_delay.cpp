@@ -14,6 +14,9 @@ namespace dosn::metrics {
 namespace {
 
 constexpr Seconds kH = 3600;
+constexpr auto kDirect = interval::RendezvousMode::kDirect;
+constexpr auto kRelay = interval::RendezvousMode::kRelay;
+using interval::pair_delay;
 
 DaySchedule window(Seconds start_h, Seconds end_h) {
   return DaySchedule(interval::IntervalSet::single(start_h * kH, end_h * kH));
@@ -22,32 +25,27 @@ DaySchedule window(Seconds start_h, Seconds end_h) {
 TEST(EdgeDelay, ConRepSingleIntervalIsDayMinusOverlap) {
   const auto a = window(8, 14);
   const auto b = window(12, 18);  // overlap d = 2h
-  EXPECT_EQ(edge_delay(a, b, Connectivity::kConRep), 22 * kH);
-  EXPECT_EQ(edge_delay(b, a, Connectivity::kConRep), 22 * kH);
+  EXPECT_EQ(pair_delay(a, b, kDirect), 22 * kH);
+  EXPECT_EQ(pair_delay(b, a, kDirect), 22 * kH);
 }
 
 TEST(EdgeDelay, ConRepNoOverlapNoEdge) {
-  EXPECT_EQ(edge_delay(window(8, 10), window(12, 14), Connectivity::kConRep),
-            std::nullopt);
+  EXPECT_EQ(pair_delay(window(8, 10), window(12, 14), kDirect), std::nullopt);
 }
 
 TEST(EdgeDelay, UnconRepBridgesDisjointSchedules) {
   // Via the relay: post at 08:00 (worst), receiver online at 12:00 -> 4h...
   // worst over the source window [8,10): posting at 08:00 waits 4h.
-  EXPECT_EQ(edge_delay(window(8, 10), window(12, 14), Connectivity::kUnconRep),
-            4 * kH);
+  EXPECT_EQ(pair_delay(window(8, 10), window(12, 14), kRelay), 4 * kH);
 }
 
 TEST(EdgeDelay, EmptyScheduleNoEdge) {
-  EXPECT_EQ(edge_delay(DaySchedule{}, window(0, 1), Connectivity::kConRep),
-            std::nullopt);
-  EXPECT_EQ(edge_delay(window(0, 1), DaySchedule{}, Connectivity::kUnconRep),
-            std::nullopt);
+  EXPECT_EQ(pair_delay(DaySchedule{}, window(0, 1), kDirect), std::nullopt);
+  EXPECT_EQ(pair_delay(window(0, 1), DaySchedule{}, kRelay), std::nullopt);
 }
 
 TEST(EdgeDelay, AlwaysOnlinePairIsInstant) {
-  EXPECT_EQ(edge_delay(DaySchedule::always(), DaySchedule::always(),
-                       Connectivity::kConRep),
+  EXPECT_EQ(pair_delay(DaySchedule::always(), DaySchedule::always(), kDirect),
             0);
 }
 
@@ -257,14 +255,16 @@ DaySchedule random_schedule(util::Rng& rng) {
 TEST(IncrementalGroupDelay, MatchesBatchGroupDelayOnRandomSequences) {
   util::Rng rng(0xd31a);
   for (int trial = 0; trial < 60; ++trial) {
-    const auto mode = trial % 2 == 0 ? interval::RendezvousMode::kDirect
-                                     : interval::RendezvousMode::kRelay;
+    const auto mode = trial % 2 == 0 ? kDirect : kRelay;
+    interval::PairDelayMemo memo;
+    memo.reset(mode, 0);
     interval::IncrementalGroupDelay inc(mode);
-    std::vector<DaySchedule> nodes;
     const auto n = rng.range(1, 8);
+    std::vector<DaySchedule> nodes;
+    nodes.reserve(static_cast<std::size_t>(n));  // the memo points into them
     for (Seconds i = 0; i < n; ++i) {
       nodes.push_back(random_schedule(rng));
-      inc.push(nodes.back());
+      inc.push(memo.add_node(nodes.back().set().pieces()), memo);
       const auto ref = interval::oracle::group_delay(nodes, mode);
       const auto got = inc.result();
       EXPECT_EQ(got.diameter, ref.diameter);
@@ -276,39 +276,84 @@ TEST(IncrementalGroupDelay, MatchesBatchGroupDelayOnRandomSequences) {
 }
 
 TEST(IncrementalGroupDelay, EmptyAndSingleNodeResults) {
-  interval::IncrementalGroupDelay inc(interval::RendezvousMode::kDirect);
+  const DaySchedule never;
+  const DaySchedule online = window(8, 10);
+  interval::PairDelayMemo memo;
+  memo.reset(kDirect, 0);
+  interval::IncrementalGroupDelay inc(kDirect);
   EXPECT_EQ(inc.result().participants, 0u);
-  inc.push(DaySchedule{});  // empty: keeps its slot, never participates
+  // Empty: keeps its slot, never participates.
+  inc.push(memo.add_node(never.set().pieces()), memo);
   EXPECT_EQ(inc.result().participants, 0u);
-  inc.push(window(8, 10));
+  inc.push(memo.add_node(online.set().pieces()), memo);
   const auto one = inc.result();
   EXPECT_EQ(one.participants, 1u);
   EXPECT_EQ(one.diameter, 0);
   EXPECT_TRUE(one.fully_connected);
+  EXPECT_EQ(inc.key(1), 1u);
 }
 
 TEST(IncrementalGroupDelay, OneKernelPerUnorderedPairUnderConRep) {
   // n participants with empty schedules interleaved: kDirect edges are
-  // symmetric, so each unordered pair costs one kernel evaluation; kRelay
-  // evaluates both directions. Empty nodes cost nothing.
-  for (const auto mode : {interval::RendezvousMode::kDirect,
-                          interval::RendezvousMode::kRelay}) {
+  // symmetric, so each unordered pair costs the memo one kernel
+  // evaluation; kRelay evaluates both directions. Empty nodes cost nothing.
+  for (const auto mode : {kDirect, kRelay}) {
+    interval::PairDelayMemo memo;
+    memo.reset(mode, 0);
     interval::IncrementalGroupDelay inc(mode);
+    std::vector<DaySchedule> nodes;
+    nodes.reserve(9);  // the memo points into them
     std::uint64_t n = 0;
     for (int i = 0; i < 9; ++i) {
       if (i % 3 == 1) {
-        inc.push(DaySchedule{});
+        nodes.emplace_back();
       } else {
-        inc.push(window(i, i + 4));
+        nodes.push_back(window(i, i + 4));
         ++n;
       }
+      inc.push(memo.add_node(nodes.back().set().pieces()), memo);
       const std::uint64_t pairs = n * (n - 1);
-      EXPECT_EQ(inc.edge_evaluations(),
-                mode == interval::RendezvousMode::kDirect ? pairs / 2 : pairs)
+      EXPECT_EQ(memo.edge_evaluations(),
+                mode == kDirect ? pairs / 2 : pairs)
           << "n=" << n;
     }
     inc.reset(mode);
-    EXPECT_EQ(inc.edge_evaluations(), 0u);
+    memo.reset(mode, 0);
+    EXPECT_EQ(memo.edge_evaluations(), 0u);
+  }
+}
+
+TEST(PairDelayMemo, AddNodeKeepsEvaluatedEdges) {
+  // Every edge is evaluated, then a node is added: the old pairs read the
+  // same weights with no further kernel, and the new node's edges are
+  // evaluated on first use like any other.
+  util::Rng rng(0xadd0);
+  for (const auto mode : {kDirect, kRelay}) {
+    std::vector<DaySchedule> nodes;
+    nodes.reserve(8);  // the memo points into them
+    interval::PairDelayMemo memo;
+    memo.reset(mode, 0);
+    while (nodes.size() < 8) {
+      const auto schedule = random_schedule(rng);
+      if (!schedule.empty()) nodes.push_back(schedule);
+    }
+    std::vector<std::optional<Seconds>> weights;
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      EXPECT_EQ(memo.add_node(nodes[v].set().pieces()), v);
+      const std::uint64_t before = memo.edge_evaluations();
+      for (std::size_t a = 0; a < v; ++a)  // the old pairs, evaluated before
+        for (std::size_t b = 0; b < v; ++b)
+          EXPECT_EQ(memo.edge(a, b), weights[a * v + b]) << a << "," << b;
+      EXPECT_EQ(memo.edge_evaluations(), before) << "v=" << v;
+
+      weights.assign((v + 1) * (v + 1), std::nullopt);
+      for (std::size_t a = 0; a <= v; ++a)
+        for (std::size_t b = 0; b <= v; ++b) {
+          weights[a * (v + 1) + b] = memo.edge(a, b);
+          EXPECT_EQ(weights[a * (v + 1) + b],
+                    pair_delay(nodes[a], nodes[b], mode));
+        }
+    }
   }
 }
 

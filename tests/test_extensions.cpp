@@ -127,6 +127,31 @@ TEST(CoreGroup, StillRequiresCoverageGain) {
       policy.select(f.context(0, Connectivity::kConRep, 1), rng).empty());
 }
 
+TEST(CoreGroup, OneSelectRunsEachPairKernelAtMostOnce) {
+  // d staggered candidates, each adding coverage, so every round tries
+  // many of them. The rounds read one memo over the owner and the d
+  // candidates, so the select runs at most one kDirect kernel per
+  // unordered pair of those d + 1 nodes, where rebuilding the group delay
+  // per candidate and round would rerun the picked group's kernels.
+  constexpr std::size_t d = 16;
+  Fixture f;
+  f.schedules = {window(0, 2)};
+  for (std::size_t i = 1; i <= d; ++i) {
+    f.candidates.push_back(static_cast<graph::UserId>(i));
+    const auto h = static_cast<Seconds>(i);
+    f.schedules.push_back(window(h, h + 3));
+  }
+  f.trace = trace::ActivityTrace(d + 1, {});
+  placement::CoreGroupPolicy policy;
+  placement::PlacementScratch scratch;
+  util::Rng rng(1);
+  const auto picks =
+      policy.select(f.context(0, Connectivity::kConRep, d), rng, scratch);
+  EXPECT_GE(picks.size(), 4u);
+  EXPECT_GT(scratch.memo.edge_evaluations(), 0u);
+  EXPECT_LE(scratch.memo.edge_evaluations(), d * (d + 1) / 2);
+}
+
 TEST(CoreGroup, DelayNoWorseThanMaxAvOnAverage) {
   // On a synthetic cohort, CoreGroup's delay should beat MaxAv's while
   // sacrificing some availability.

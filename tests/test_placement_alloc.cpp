@@ -1,13 +1,9 @@
 // Pins the placement layer's allocation contract: once a PlacementScratch
 // has been warmed on one user, select through it does no heap allocation
 // on a user of equal or smaller degree. Links the counting allocator of
-// alloc_counter.cpp.
-//
-// CoreGroup and Hybrid are exempt: CoreGroup runs interval::group_delay,
-// which builds a delay graph, for every candidate in every round, and
-// Hybrid keeps per-call activity and eligible-pool vectors. Both are
-// extensions outside the paper's sweeps, and neither buffer lives in the
-// scratch.
+// alloc_counter.cpp. Every policy is covered, the extensions included:
+// CoreGroup's pair-delay memo and groups and Hybrid's activity and pool
+// vectors live in the scratch too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -98,7 +94,9 @@ std::vector<Case> cases() {
           {"MaxAv_aod_activity_least_overlap", PolicyKind::kMaxAv,
            activity_least},
           {"MostActive", PolicyKind::kMostActive, {}},
-          {"Random", PolicyKind::kRandom, {}}};
+          {"Random", PolicyKind::kRandom, {}},
+          {"CoreGroup", PolicyKind::kCoreGroup, {}},
+          {"Hybrid", PolicyKind::kHybrid, {}}};
 }
 
 TEST(PlacementAllocation, WarmedScratchSelectsWithoutAllocating) {

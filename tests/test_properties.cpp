@@ -6,6 +6,7 @@
 #include "metrics/availability.hpp"
 #include "metrics/delay.hpp"
 #include "net/replica_sim.hpp"
+#include "pair_delay_oracle.hpp"
 #include "placement/policy.hpp"
 #include "sim/evaluate.hpp"
 #include "trace/dataset.hpp"
@@ -73,10 +74,10 @@ TEST_P(ScheduleProperties, WorstCaseWaitBounds) {
     const auto a = random_schedule(rng);
     const auto b = random_schedule(rng);
     if (a.empty() || b.empty()) {
-      EXPECT_EQ(interval::worst_case_wait(a, b), std::nullopt);
+      EXPECT_EQ(interval::oracle::worst_case_wait(a, b), std::nullopt);
       continue;
     }
-    const auto w = interval::worst_case_wait(a, b);
+    const auto w = interval::oracle::worst_case_wait(a, b);
     ASSERT_TRUE(w.has_value());
     EXPECT_GE(w->wait, 0);
     EXPECT_LT(w->wait, kDaySeconds);  // target is daily periodic
