@@ -139,54 +139,115 @@ void IncrementalGroupDelay::push(std::size_t key, PairDelayMemo& memo) {
   const std::size_t slot = pushed_++;
   if (memo.node(key).empty()) return;
 
-  // One-hop edges between the existing participants and the new node, both
-  // directions (the delay graph is directed).
+  // The matrix grows from m to n = m + 1 participants; the old entries
+  // keep their stride m until the restride below. It is sized to exactly
+  // n² so that a copied group copies only its own entries, while the
+  // scratch vectors only grow and need no resize once they have reached
+  // the largest group.
+  const bool direct = mode_ == RendezvousMode::kDirect;
   const std::size_t m = participants_.size();
-  edge_to_.resize(m);
-  edge_from_.resize(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    const std::size_t other = participants_[p].key;
-    edge_to_[p] = memo.edge(other, key).value_or(kInf);
-    edge_from_[p] = memo.edge(key, other).value_or(kInf);
-  }
+  const std::size_t n = m + 1;
+  const auto grow = [n](std::vector<Seconds>& v) {
+    if (v.size() < n) v.resize(n);
+    return v.data();
+  };
+  dist_.resize(n * n);
+  Seconds* const dist = dist_.data();
+  Seconds* const edge_to = grow(edge_to_);
+  Seconds* const dist_to = grow(dist_to_);
+
+  // One-hop edges between the existing participants and the new node. The
+  // memo's one kDirect kernel fills both directions, so only kRelay reads
+  // the reverse edges.
+  for (std::size_t p = 0; p < m; ++p)
+    edge_to[p] = memo.weight(participants_[p].key, key);
 
   // Shortest i -> new and new -> j. A shortest path touches the new node
   // only at its endpoint (weights are nonnegative), so it decomposes into
   // an old-graph shortest path plus one new edge. No entry exceeds kInf, so
-  // a sum with a kInf operand never wins a min and needs no branch.
-  dist_to_.resize(m);
-  dist_from_.resize(m);
+  // a sum with a kInf operand never wins a min and needs no branch. Under
+  // kDirect, new -> j is j -> new.
   for (std::size_t i = 0; i < m; ++i) {
-    Seconds best = edge_to_[i];
+    Seconds best = edge_to[i];
     for (std::size_t j = 0; j < m; ++j)
-      best = std::min(best, at(i, j) + edge_to_[j]);
-    dist_to_[i] = best;
+      best = std::min(best, dist[i * m + j] + edge_to[j]);
+    dist_to[i] = best;
   }
-  for (std::size_t j = 0; j < m; ++j) {
-    Seconds best = edge_from_[j];
+  Seconds* dist_from = dist_to;
+  if (!direct) {
+    Seconds* const edge_from = grow(edge_from_);
+    dist_from = grow(dist_from_);
     for (std::size_t p = 0; p < m; ++p)
-      best = std::min(best, edge_from_[p] + at(p, j));
-    dist_from_[j] = best;
+      edge_from[p] = memo.weight(key, participants_[p].key);
+    for (std::size_t j = 0; j < m; ++j) {
+      Seconds best = edge_from[j];
+      for (std::size_t p = 0; p < m; ++p)
+        best = std::min(best, edge_from[p] + dist[p * m + j]);
+      dist_from[j] = best;
+    }
   }
 
-  // Relax old pairs through the new node and restride the matrix in place,
-  // from the back as PairDelayMemo::add_node does.
-  dist_.resize((m + 1) * (m + 1));
-  for (std::size_t i = m; i-- > 0;)
-    for (std::size_t j = m; j-- > 0;)
-      dist_[i * (m + 1) + j] =
-          std::min(dist_[i * m + j], dist_to_[i] + dist_from_[j]);
-  for (std::size_t i = 0; i < m; ++i) {
-    dist_[i * (m + 1) + m] = dist_to_[i];
-    dist_[m * (m + 1) + i] = dist_from_[i];
+  // Relax old pairs through the new node and restride the matrix in place
+  // into n columns. Entry (i, j) moves from i*m + j to i*n + j, never to a
+  // lower index, so walking rows and columns from the back never
+  // overwrites an entry not yet read; the new row m lies past every old
+  // entry. Under kDirect only the upper triangle is computed, and each
+  // entry is mirrored into a row already walked.
+  //
+  // The same walk finds the diameter. It visits the computed entries in
+  // reverse row-major order, so taking ties (>=) lands on the
+  // row-major-first maximum, as a forward scan taking > would. A kInf
+  // entry clears the flag and competes as -1, which never wins; the scan
+  // has no data-dependent branch. A zero diameter keeps the default
+  // target, as the forward scan does.
+  Seconds diameter = 0;
+  std::size_t worst = 0;  // participant column of the diameter
+  bool connected = true;
+  const auto scan = [&](Seconds d, std::size_t column) {
+    connected &= d != kInf;
+    const Seconds reached = d == kInf ? -1 : d;
+    const bool take = reached >= diameter;
+    diameter = take ? reached : diameter;
+    worst = take ? column : worst;
+  };
+  if (!direct)
+    for (std::size_t j = m; j-- > 0;) scan(dist[m * n + j] = dist_from[j], j);
+  for (std::size_t i = m; i-- > 0;) {
+    const Seconds to = dist_to[i];
+    scan(dist[i * n + m] = to, m);
+    if (direct) {
+      dist[m * n + i] = to;
+      for (std::size_t j = m; --j > i;) {
+        const Seconds d = std::min(dist[i * m + j], to + dist_from[j]);
+        dist[i * n + j] = dist[j * n + i] = d;
+        scan(d, j);
+      }
+      dist[i * n + i] = 0;
+    } else {
+      // The diagonal stays 0 (min with a nonnegative sum) and never beats
+      // a positive diameter, so it needs no skip.
+      for (std::size_t j = m; j-- > 0;) {
+        const Seconds d = std::min(dist[i * m + j], to + dist_from[j]);
+        dist[i * n + j] = d;
+        scan(d, j);
+      }
+    }
   }
-  dist_[m * (m + 1) + m] = 0;
+  dist[m * n + m] = 0;
+  relaxations_ += direct ? m * n / 2 : m * n;
   participants_.push_back({slot, key});
+
+  result_.diameter = diameter;
+  result_.worst_target = diameter > 0 ? participants_[worst].slot : 0;
+  result_.fully_connected = connected;
+  result_.participants = n;
 }
 
 void IncrementalGroupDelay::reset(RendezvousMode mode) {
   mode_ = mode;
   pushed_ = 0;
+  relaxations_ = 0;
+  result_ = GroupDelayResult{};
   participants_.clear();
   dist_.clear();
 }
@@ -199,27 +260,6 @@ std::size_t IncrementalGroupDelay::key(std::size_t slot) const {
              "IncrementalGroupDelay::key: slot ", slot,
              " is not a participant");
   return it->key;
-}
-
-GroupDelayResult IncrementalGroupDelay::result() const {
-  GroupDelayResult result;
-  result.participants = participants_.size();
-  if (participants_.size() < 2) return result;
-
-  const std::size_t n = participants_.size();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (at(i, j) == kInf) {
-        result.fully_connected = false;
-        continue;
-      }
-      if (at(i, j) > result.diameter) {
-        result.diameter = at(i, j);
-        result.worst_target = participants_[j].slot;
-      }
-    }
-  return result;
 }
 
 GroupDelayResult group_delay(std::span<const DaySchedule> nodes,

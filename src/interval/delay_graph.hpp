@@ -14,11 +14,12 @@
 //
 // Closed form of the kDirect edge: the largest circular gap of the
 // rendezvous R = S ∩ T (for each R piece, the next R start, wrapping to
-// tomorrow, minus the piece end), hence symmetric in S and T. Every R piece
-// end lies in the closure of S (R ⊆ S), so each gap is attained by an
-// update posted as the window closes; a source start inside an R gap waits
-// at most that gap. For single daily intervals this is the paper's
-// "24h − overlap".
+// tomorrow, minus the piece end), hence symmetric in S and T, and so is
+// every kDirect shortest delay, which IncrementalGroupDelay's push relies
+// on to compute half the matrix. Every R piece end lies in the closure of
+// S (R ⊆ S), so each gap is attained by an update posted as the window
+// closes; a source start inside an R gap waits at most that gap. For
+// single daily intervals this is the paper's "24h − overlap".
 #pragma once
 
 #include <cstdint>
@@ -109,12 +110,17 @@ class PairDelayMemo {
   /// A hit, the common case once a user's first runs have filled the
   /// memo, is one load.
   std::optional<Seconds> edge(std::size_t from, std::size_t to) {
+    const Seconds w = weight(from, to);
+    if (w == detail::kInf) return std::nullopt;
+    return w;
+  }
+
+  /// edge() with detail::kInf for "never", as the delay matrices store it.
+  Seconds weight(std::size_t from, std::size_t to) {
     const std::size_t n = nodes_.size();
     DOSN_ASSERT(from < n && to < n);
     const Seconds w = edges_[from * n + to];
-    const Seconds weight = w >= 0 ? w : fill(from, to);
-    if (weight == detail::kInf) return std::nullopt;
-    return weight;
+    return w >= 0 ? w : fill(from, to);
   }
 
   /// Edge kernels evaluated since the last reset(): one per requested pair
@@ -149,6 +155,15 @@ class PairDelayMemo {
 /// kernel at most once however many groups read it, and the group copies
 /// no pieces. A copy of a group is an independent group over the same memo
 /// (CoreGroup tries each candidate on a copy of its picked group).
+///
+/// Under kDirect every edge is symmetric, so every shortest delay is too:
+/// push() reads one direction of each new edge, runs one min-plus loop
+/// (dist(v,j) = dist(j,v)) and relaxes the upper triangle only, mirroring
+/// each entry. The pass that relaxes and restrides the matrix also finds
+/// the diameter, its receiver and the connectivity flag, so result() is a
+/// copy. The receiver is the column of the row-major-first maximum; under
+/// kDirect that entry lies in the upper triangle (its mirror comes later),
+/// so it is the later-pushed endpoint of the diametral pair.
 class IncrementalGroupDelay {
  public:
   explicit IncrementalGroupDelay(RendezvousMode mode) : mode_(mode) {}
@@ -165,11 +180,24 @@ class IncrementalGroupDelay {
   void reset(RendezvousMode mode);
 
   /// Equivalent of group_delay over every node pushed so far.
-  GroupDelayResult result() const;
+  GroupDelayResult result() const { return result_; }
 
   /// Memo key of the non-empty node pushed at `slot` (push order, as
   /// GroupDelayResult::worst_target counts).
   std::size_t key(std::size_t slot) const;
+
+  /// Slot of the p-th participant (non-empty node, in push order).
+  std::size_t slot(std::size_t p) const { return participants_[p].slot; }
+
+  /// Shortest delay from participant p to participant q; detail::kInf
+  /// when there is no route.
+  Seconds distance(std::size_t p, std::size_t q) const { return at(p, q); }
+
+  /// Matrix entries push() computed since the last reset(): the
+  /// off-diagonal entries of each grown matrix, the upper triangle only
+  /// under kDirect (the lower one is its mirror) — m(m+1)/2 resp. m(m+1)
+  /// for a push onto m participants.
+  std::uint64_t relaxations() const { return relaxations_; }
 
  private:
   /// A non-empty pushed node: its slot in push order and its memo key.
@@ -184,10 +212,14 @@ class IncrementalGroupDelay {
 
   RendezvousMode mode_;
   std::size_t pushed_ = 0;
+  std::uint64_t relaxations_ = 0;
+  GroupDelayResult result_;  ///< kept by push()
   std::vector<Participant> participants_;
   std::vector<Seconds> dist_;  // shortest delays, row-major
   // push() scratch, kept as members so steady-state pushes are
-  // allocation-free once the buffers have warmed up.
+  // allocation-free once the buffers have warmed up; sized to the largest
+  // group since the last construction, not to this one. The edge_from_ and
+  // dist_from_ pair serves kRelay only.
   std::vector<Seconds> edge_to_, edge_from_;
   std::vector<Seconds> dist_to_, dist_from_;
 };

@@ -115,6 +115,10 @@ class DelayPrefixEvaluator {
   /// last reset, summed over calls.
   std::uint64_t observed_pieces() const { return observed_pieces_; }
 
+  /// Delay-matrix entries the pushes computed since the last reset
+  /// (IncrementalGroupDelay::relaxations).
+  std::uint64_t relaxations() const { return group_.relaxations(); }
+
  private:
   interval::PairDelayMemo& memo() { return memo_ ? *memo_ : own_; }
   const interval::PairDelayMemo& memo() const {

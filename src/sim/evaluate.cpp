@@ -35,6 +35,11 @@ struct EvalMetrics {
   /// Picks pushed into the prefix delay (one per pick a run evaluates).
   obs::Counter& delay_pushes =
       obs::Registry::global().counter("sim.delay_pushes");
+  /// Delay-matrix entries the pushes computed: per push onto m
+  /// participants, m(m+1)/2 under ConRep (the symmetric upper triangle)
+  /// and m(m+1) under UnconRep.
+  obs::Counter& delay_relaxations =
+      obs::Registry::global().counter("sim.delay_relaxations");
   /// Reader pieces passed to the observed-delay kernel, summed over calls.
   obs::Counter& observed_pieces =
       obs::Registry::global().counter("sim.observed_pieces");
@@ -297,6 +302,7 @@ void UserTable::evaluate(std::span<const std::uint32_t> picks,
   pending_.runs += 1;
   pending_.rows += out.size();
   pending_.delay_pushes += take_max;
+  pending_.delay_relaxations += delay_.relaxations();
   pending_.observed_pieces += delay_.observed_pieces();
 }
 
@@ -310,6 +316,7 @@ void UserTable::flush_counters() {
   em.activities_classified.add(pending_.activities);
   em.delay_edges.add(pending_.delay_edges);
   em.delay_pushes.add(pending_.delay_pushes);
+  em.delay_relaxations.add(pending_.delay_relaxations);
   em.observed_pieces.add(pending_.observed_pieces);
   pending_ = Pending{};
 }

@@ -111,10 +111,6 @@ GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
   for (std::size_t i = 0; i < nodes.size(); ++i)
     if (!nodes[i].empty()) index.push_back(i);
 
-  GroupDelayResult result;
-  result.participants = index.size();
-  if (index.size() < 2) return result;
-
   const std::size_t n = index.size();
   std::vector<Seconds> dist(n * n, kInf);
   auto at = [&](std::size_t i, std::size_t j) -> Seconds& {
@@ -138,19 +134,39 @@ GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
       }
     }
 
+  return rescan(dist, index);
+}
+
+GroupDelayResult rescan(std::span<const Seconds> dist,
+                        std::span<const std::size_t> slots) {
+  GroupDelayResult result;
+  result.participants = slots.size();
+  const std::size_t n = slots.size();
+  DOSN_ASSERT(dist.size() == n * n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      if (at(i, j) == kInf) {
+      if (dist[i * n + j] == kInf) {
         result.fully_connected = false;
         continue;
       }
-      if (at(i, j) > result.diameter) {
-        result.diameter = at(i, j);
-        result.worst_target = index[j];
+      if (dist[i * n + j] > result.diameter) {
+        result.diameter = dist[i * n + j];
+        result.worst_target = slots[j];
       }
     }
   return result;
+}
+
+GroupDelayResult rescan(const IncrementalGroupDelay& group) {
+  const std::size_t n = group.result().participants;
+  std::vector<Seconds> dist(n * n);
+  std::vector<std::size_t> slots(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    slots[i] = group.slot(i);
+    for (std::size_t j = 0; j < n; ++j) dist[i * n + j] = group.distance(i, j);
+  }
+  return rescan(dist, slots);
 }
 
 }  // namespace dosn::interval::oracle

@@ -5,14 +5,16 @@
 // pair_delay materializes the rendezvous with the allocating
 // DaySchedule::intersect, then runs worst_case_wait against it (the
 // library's relay kernel is the one sweep form of both). group_delay is
-// the batch Floyd–Warshall over those
-// edges, and metrics::oracle::update_propagation_delay is group_delay over
-// the owner and the replicas plus the observed delay at the worst target,
-// which worst_observed_delay finds with one online_within_window scan per
-// reader piece end. They are kept verbatim so the tests can compare the
-// allocation-free sweep kernels and the incremental evaluators against
-// them on randomized inputs, and so bench/study_engine's pre-change engine
-// keeps doing the pre-change delay work.
+// the batch Floyd–Warshall over those edges, and rescan is its diameter
+// scan, which IncrementalGroupDelay ran over its whole matrix before
+// push() kept the diameter. metrics::oracle::update_propagation_delay is
+// group_delay over the owner and the replicas plus the observed delay at
+// the worst target, which worst_observed_delay finds with one
+// online_within_window scan per reader piece end. They are kept verbatim
+// so the tests can compare the allocation-free sweep kernels and the
+// incremental evaluators against them on randomized inputs, and so
+// bench/study_engine's pre-change engine keeps doing the pre-change delay
+// work.
 #pragma once
 
 #include <optional>
@@ -55,6 +57,17 @@ std::optional<Seconds> pair_delay(const DaySchedule& source,
 
 GroupDelayResult group_delay(std::span<const DaySchedule> nodes,
                              RendezvousMode mode);
+
+/// The diameter scan IncrementalGroupDelay::result() ran over the whole
+/// matrix on every call before push() kept it: the row-major-first
+/// maximum over every ordered pair of distinct participants of the n×n
+/// row-major shortest-delay matrix `dist` (kInf: no route), with
+/// `slots[j]` the slot reported for participant j.
+GroupDelayResult rescan(std::span<const Seconds> dist,
+                        std::span<const std::size_t> slots);
+
+/// rescan over the whole matrix of `group`, both triangles.
+GroupDelayResult rescan(const IncrementalGroupDelay& group);
 
 }  // namespace dosn::interval::oracle
 

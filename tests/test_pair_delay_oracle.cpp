@@ -1,12 +1,14 @@
-// Differential tests: the allocation-free pair-delay sweep kernels and the
-// memo-fed incremental group delay against the intersect + worst_case_wait
-// oracle they replaced (pair_delay_oracle.hpp). Every result must agree exactly
+// Differential tests: the allocation-free pair-delay sweep kernels, the
+// memo-fed incremental group delay and the diameter its push keeps against
+// the intersect + worst_case_wait oracle and the whole-matrix rescan they
+// replaced (pair_delay_oracle.hpp). Every result must agree exactly
 // on randomized pairs that stress the sweep's boundary rules: touching
 // endpoints across the two sets, a piece at 0 together with a piece ending
 // at 86400 (the midnight wrap), the full day, equal and nested sets, and
 // an empty side.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -180,6 +182,78 @@ TEST(PairDelayOracle, IncrementalGroupDelayMatchesOracleGroupDelay) {
       }
     }
   }
+}
+
+// push() keeps the diameter, its receiver and the connectivity flag in
+// the pass that grows the matrix; at every prefix of random groups in both
+// modes they must equal a rescan of the whole matrix (both triangles, so
+// a wrong kDirect mirror shows too), the batch group_delay and the
+// Floyd–Warshall oracle. Schedules on a four-hour grid and repeated nodes
+// make diameters tied between several columns common, one-hour islands
+// make unreachable kDirect pairs, and empty nodes keep their slots. Under
+// kDirect the receiver is the later-pushed endpoint of the row-major-first
+// diametral pair (DESIGN.md §2), which the observed delay is read at.
+TEST(DiameterScan, PushKeepsTheRescannedDiameterAtEveryPrefix) {
+  util::Rng rng(0xd1a3);
+  IncrementalGroupDelay inc(RendezvousMode::kDirect);
+  std::size_t tied_columns = 0, disconnected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto mode = kModes[trial % 2];
+    PairDelayMemo memo;
+    memo.reset(mode, 0);
+    inc.reset(mode);  // one group reused, as the study engine does
+    const auto n = rng.range(2, 12);
+    std::vector<DaySchedule> nodes;
+    nodes.reserve(static_cast<std::size_t>(n));  // the memo points into them
+    for (Seconds i = 0; i < n; ++i) {
+      const auto kind = nodes.empty() ? 0 : rng.below(5);
+      if (kind == 0) {
+        nodes.push_back(random_schedule(rng, 4 * 3600, rng.below(4) == 0));
+      } else if (kind == 1) {
+        nodes.push_back(nodes[rng.below(nodes.size())]);
+      } else if (kind == 2) {
+        const Seconds h = rng.range(0, 23) * 3600;
+        nodes.push_back(DaySchedule(IntervalSet::single(h, h + 3600)));
+      } else if (kind == 3) {
+        nodes.push_back(DaySchedule{});
+      } else {
+        nodes.push_back(random_schedule(rng));
+      }
+      inc.push(memo.add_node(nodes.back().set().pieces()), memo);
+
+      const auto got = inc.result();
+      const auto ref = oracle::group_delay(nodes, mode);
+      for (const auto& want :
+           {oracle::rescan(inc), group_delay(nodes, mode), ref}) {
+        EXPECT_EQ(got.diameter, want.diameter) << name(mode) << " i=" << i;
+        EXPECT_EQ(got.worst_target, want.worst_target)
+            << name(mode) << " i=" << i;
+        EXPECT_EQ(got.fully_connected, want.fully_connected);
+        EXPECT_EQ(got.participants, want.participants);
+      }
+      disconnected += got.fully_connected ? 0 : 1;
+      if (got.diameter == 0) continue;
+
+      // The columns reaching the diameter, and under kDirect an earlier
+      // participant at the diameter from the receiver.
+      std::vector<std::size_t> columns;
+      bool earlier_endpoint = false;
+      for (std::size_t p = 0; p < got.participants; ++p)
+        for (std::size_t q = 0; q < got.participants; ++q) {
+          if (p == q || inc.distance(p, q) != got.diameter) continue;
+          if (std::find(columns.begin(), columns.end(), q) == columns.end())
+            columns.push_back(q);
+          earlier_endpoint |= inc.slot(q) == got.worst_target && p < q;
+        }
+      tied_columns += columns.size() > 2 ? 1 : 0;
+      if (mode == RendezvousMode::kDirect) {
+        EXPECT_TRUE(earlier_endpoint) << " i=" << i;
+      }
+    }
+  }
+  // The tie-break and the kInf path were exercised, not skipped.
+  EXPECT_GT(tied_columns, 100u);
+  EXPECT_GT(disconnected, 100u);
 }
 
 }  // namespace

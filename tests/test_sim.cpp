@@ -178,6 +178,41 @@ TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
   }
 }
 
+// A push onto m participants computes m(m+1)/2 delay-matrix entries under
+// ConRep (the upper triangle; the lower one is its mirror) and m(m+1)
+// under UnconRep. In the runs of MemoFillsEachPairOncePerUser the owner is
+// pushed onto no one and contact 3 (never online) never participates, so
+// each run picking 1 and 2 pushes onto 1, then 2 participants: 1 + 3
+// entries under ConRep, 2 + 6 under UnconRep, three such runs and {1}
+// give 13 and 26.
+TEST(UserTableCounters, DelayRelaxationsHalveUnderConRep) {
+  const auto d = tiny_dataset();
+  const std::vector<DaySchedule> schedules{window(8, 10), window(9, 13),
+                                           window(12, 16), DaySchedule{}};
+  const std::vector<std::vector<graph::UserId>> runs{
+      {1, 2, 3}, {2, 1}, {3, 2, 1}, {1}};
+  std::vector<graph::UserId> holders;
+  for (const auto& run : runs)
+    holders.insert(holders.end(), run.begin(), run.end());
+  const ObsOn obs_on;
+  for (const auto& [connectivity, relaxations] :
+       {std::pair{Connectivity::kConRep, 13u},
+        std::pair{Connectivity::kUnconRep, 26u}}) {
+    SCOPED_TRACE(placement::to_string(connectivity));
+    const std::uint64_t before = counter("sim.delay_relaxations");
+    UserTable table;
+    table.build(d, schedules, 0, holders, connectivity);
+    std::vector<UserMetrics> rows(4);
+    for (std::size_t r = 0, from = 0; r < runs.size(); ++r) {
+      table.evaluate(table.holder_positions().subspan(from, runs[r].size()),
+                     0, 3, rows);
+      from += runs[r].size();
+    }
+    table.flush_counters();
+    EXPECT_EQ(counter("sim.delay_relaxations") - before, relaxations);
+  }
+}
+
 TEST(MetricEnum, NamesAndExtraction) {
   CohortMetrics m;
   m.availability = 0.5;
@@ -481,6 +516,31 @@ TEST_F(StudySweeps, ReplicationSweepBitIdenticalAcrossThreadCounts) {
     const auto parallel = study.replication_sweep(
         ModelKind::kSporadic, {}, Connectivity::kConRep, opts);
     expect_bit_identical(serial, parallel);
+  }
+}
+
+// The delay work counters sum per-user counts, so they read the same
+// however the cohort is sharded.
+TEST_F(StudySweeps, DelayRelaxationsSameAtOneAndFourThreads) {
+  Study study(*dataset_, 113);
+  auto opts = fast_options();
+  const ObsOn obs_on;
+  for (const auto connectivity :
+       {Connectivity::kConRep, Connectivity::kUnconRep}) {
+    SCOPED_TRACE(placement::to_string(connectivity));
+    std::vector<std::uint64_t> relaxations, pushes;
+    for (const std::size_t threads : {1u, 4u}) {
+      opts.threads = threads;
+      const std::uint64_t r = counter("sim.delay_relaxations");
+      const std::uint64_t p = counter("sim.delay_pushes");
+      (void)study.replication_sweep(ModelKind::kSporadic, {}, connectivity,
+                                    opts);
+      relaxations.push_back(counter("sim.delay_relaxations") - r);
+      pushes.push_back(counter("sim.delay_pushes") - p);
+    }
+    EXPECT_GT(relaxations[0], 0u);
+    EXPECT_EQ(relaxations[0], relaxations[1]);
+    EXPECT_EQ(pushes[0], pushes[1]);
   }
 }
 
