@@ -26,7 +26,6 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -309,8 +308,7 @@ int main() {
         w.field("dataset_users",
                 static_cast<std::uint64_t>(dataset.num_users()));
         w.field("scale", scale);
-        w.field("hardware_concurrency",
-                static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+        dosn::bench::write_hardware_fields(w);
         w.key("scenarios");
         w.begin_array();
         for (const auto& s : scenarios) {

@@ -75,6 +75,7 @@ void DelayPrefixEvaluator::reset(const DaySchedule& owner,
   own_.reset(mode_of(connectivity), 0);
   memo_ = nullptr;
   observed_pieces_ = 0;
+  observed_.reset();
   group_.reset(own_.mode());
   push(own_.add_node(owner.set().pieces()));
 }
@@ -83,6 +84,7 @@ void DelayPrefixEvaluator::reset(interval::PairDelayMemo& memo,
                                  std::size_t owner_key) {
   memo_ = &memo;
   observed_pieces_ = 0;
+  observed_.reset();
   group_.reset(memo.mode());
   push(owner_key);
 }
@@ -99,9 +101,15 @@ DelayResult DelayPrefixEvaluator::result() const {
   // A zero diameter leaves worst_target at its default slot, which may be
   // an empty node; the observed delay is zero then anyway.
   if (group.participants >= 2 && group.diameter > 0) {
-    const auto reader = memo().node(group_.key(group.worst_target));
-    observed_pieces_ += reader.size();
-    result.observed = worst_observed(reader, group.diameter);
+    const std::size_t key = group_.key(group.worst_target);
+    if (!observed_ || observed_->diameter != group.diameter ||
+        observed_->reader != key) {
+      const auto reader = memo().node(key);
+      observed_pieces_ += reader.size();
+      observed_ =
+          Observed{group.diameter, key, worst_observed(reader, group.diameter)};
+    }
+    result.observed = observed_->delay;
   }
   return result;
 }

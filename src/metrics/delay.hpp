@@ -112,7 +112,8 @@ class DelayPrefixEvaluator {
   DelayResult result() const;
 
   /// Reader pieces result() passed to the observed-delay kernel since the
-  /// last reset, summed over calls.
+  /// last reset, summed over calls. A result() whose diameter and reader
+  /// match the previous kernel call's reuses its value and passes none.
   std::uint64_t observed_pieces() const { return observed_pieces_; }
 
   /// Delay-matrix entries the pushes computed since the last reset
@@ -131,6 +132,16 @@ class DelayPrefixEvaluator {
   interval::PairDelayMemo own_;              ///< schedule runs' memo
   interval::PairDelayMemo* memo_ = nullptr;  ///< key runs' memo; null: own_
   mutable std::uint64_t observed_pieces_ = 0;
+
+  /// The run's last observed-delay kernel call: the kernel reads only the
+  /// diameter and the reader's pieces, so the same (diameter, reader key)
+  /// gives the same delay. Cleared by both resets.
+  struct Observed {
+    Seconds diameter = 0;
+    std::size_t reader = 0;
+    Seconds delay = 0;
+  };
+  mutable std::optional<Observed> observed_;
 };
 
 }  // namespace dosn::metrics

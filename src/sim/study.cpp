@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #include "graph/degree_stats.hpp"
@@ -11,13 +12,6 @@
 #include "sim/cohort_accum.hpp"
 
 namespace dosn::sim {
-
-using detail::average_runs;
-using detail::kDegreeTag;
-using detail::kFaultTag;
-using detail::kReplicationTag;
-using detail::kSamplesTag;
-using detail::kSessionTag;
 
 namespace {
 
@@ -39,41 +33,18 @@ StudyMetrics& study_metrics() {
   return m;
 }
 
-/// Rejects options no sweep can run. Checked at every public entry point.
-void validate(const StudyOptions& options) {
-  DOSN_REQUIRE(options.repetitions >= 1, "study: repetitions must be >= 1");
-  DOSN_REQUIRE(options.shard_size >= 1, "study: shard_size must be >= 1");
-}
-
-/// The sweep's worker set: the caller's shared pool when options.pool is
-/// set, else a sweep-local pool sized by options.threads held in `local`.
-util::ThreadPool& sweep_pool(const StudyOptions& options,
-                             std::optional<util::ThreadPool>& local) {
-  return options.pool != nullptr ? *options.pool
-                                 : local.emplace(options.threads);
-}
-
-/// The configured policies, instantiated in plot order.
-std::vector<std::unique_ptr<placement::ReplicaPolicy>> make_policies(
-    const StudyOptions& options) {
-  std::vector<std::unique_ptr<placement::ReplicaPolicy>> policies;
-  policies.reserve(options.policies.size());
-  for (const auto kind : options.policies)
-    policies.push_back(placement::make_policy(kind, options.policy_params));
-  return policies;
-}
-
-/// Repetitions per policy: every policy repeats when the schedules are
-/// randomized, otherwise only the randomized policies do.
-std::vector<std::size_t> policy_reps(
-    std::span<const std::unique_ptr<placement::ReplicaPolicy>> policies,
-    bool schedules_randomized, std::size_t repetitions) {
-  std::vector<std::size_t> reps;
-  reps.reserve(policies.size());
-  for (const auto& policy : policies)
-    reps.push_back(schedules_randomized || policy->randomized() ? repetitions
-                                                                : 1);
-  return reps;
+/// One schedule realization per repetition of a randomized model, else
+/// one that every repetition shares; realization r draws from stream(r).
+template <typename Stream>
+std::vector<std::vector<DaySchedule>> realize(
+    const trace::Dataset& dataset, const onlinetime::OnlineTimeModel& model,
+    std::size_t repetitions, Stream stream) {
+  std::vector<std::vector<DaySchedule>> out;
+  for (std::size_t r = 0; r < (model.randomized() ? repetitions : 1); ++r) {
+    util::Rng rng(stream(r));
+    out.push_back(model.schedules(dataset, rng));
+  }
+  return out;
 }
 
 /// One task's reusable state in Study::evaluate_cohort: the placement
@@ -85,18 +56,6 @@ struct TaskScratch {
   std::vector<graph::UserId> holders;
   std::vector<std::size_t> run_end;  ///< end of run r's picks in holders
 };
-
-/// A curve per configured policy, named and tagged, with no points yet.
-std::vector<PolicyCurve> empty_curves(const StudyOptions& options) {
-  std::vector<PolicyCurve> curves(options.policies.size());
-  for (std::size_t p = 0; p < options.policies.size(); ++p) {
-    curves[p].policy_name =
-        placement::make_policy(options.policies[p], options.policy_params)
-            ->name();
-    curves[p].policy = options.policies[p];
-  }
-  return curves;
-}
 
 }  // namespace
 
@@ -146,55 +105,6 @@ Study::Study(const trace::Dataset& dataset, std::uint64_t seed)
 
 std::vector<graph::UserId> Study::cohort(std::size_t degree) const {
   return graph::users_with_degree(dataset_.graph, degree);
-}
-
-std::vector<graph::UserId> Study::sweep_cohort(std::size_t degree,
-                                               const Options& options) const {
-  auto users = cohort(degree);
-  if (options.cohort_limit > 0 && users.size() > options.cohort_limit)
-    users.resize(options.cohort_limit);
-  return users;
-}
-
-template <typename Stream, typename Evaluate>
-std::vector<std::vector<CohortMetrics>> Study::cell_points(
-    std::span<const std::unique_ptr<placement::ReplicaPolicy>> policies,
-    std::span<const std::size_t> reps, bool per_rep_schedules,
-    Stream&& stream, Evaluate&& evaluate) const {
-  if (policies.empty()) return {};
-  // means[p][r]: the cohort means of run (p, r), by sweep point.
-  std::vector<std::vector<std::vector<CohortMetrics>>> means(policies.size());
-  std::vector<CohortRun> runs;
-  std::vector<std::size_t> run_policy;
-  const auto evaluate_runs = [&](std::size_t r) {
-    auto out = evaluate(std::span<const CohortRun>(runs), r);
-    for (std::size_t j = 0; j < runs.size(); ++j)
-      means[run_policy[j]].push_back(std::move(out[j]));
-    runs.clear();
-    run_policy.clear();
-  };
-  const std::size_t max_reps = *std::max_element(reps.begin(), reps.end());
-  for (std::size_t r = 0; r < max_reps; ++r) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      if (r >= reps[p]) continue;
-      runs.push_back({policies[p].get(), stream(p, r)});
-      run_policy.push_back(p);
-    }
-    if (per_rep_schedules) evaluate_runs(r);
-  }
-  if (!per_rep_schedules) evaluate_runs(0);
-
-  // Point-wise average over each policy's repetitions, in repetition order.
-  std::vector<std::vector<CohortMetrics>> points(policies.size());
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    for (std::size_t x = 0; x < means[p].front().size(); ++x) {
-      std::vector<CohortMetrics> at_x;
-      at_x.reserve(means[p].size());
-      for (const auto& run : means[p]) at_x.push_back(run[x]);
-      points[p].push_back(average_runs(at_x));
-    }
-  }
-  return points;
 }
 
 std::vector<std::vector<CohortMetrics>> Study::evaluate_cohort(
@@ -290,6 +200,114 @@ std::vector<std::vector<CohortMetrics>> Study::evaluate_cohort(
   return means;
 }
 
+/// A sweep as run_sweep runs it: the header, whether every policy repeats
+/// (the model draws one schedule realization per repetition), the stream
+/// tag, and the cells. The cell that starts at xs[xi] fills that x and the
+/// next k_max - first_k with its rows first_k..k_max.
+struct Study::SweepSpec {
+  /// The schedules one repetition places against and is evaluated on.
+  struct Schedules {
+    std::span<const DaySchedule> placement, evaluation;
+  };
+  struct Cell {
+    std::vector<graph::UserId> cohort;  ///< before cohort_limit; empty: zeros
+    std::size_t first_k = 0, k_max = 0;
+    std::uint64_t stream_x = 0;  ///< the x of the cell's sweep_stream
+    std::function<Schedules(std::size_t rep)> schedules;
+  };
+
+  std::string model_name{};
+  std::string x_label{};
+  std::vector<double> xs{};
+  bool randomized_schedules = false;
+  std::uint64_t tag = 0;
+  std::uint64_t first_slot = 0;  ///< sweep_stream policy slot of policy 0
+  std::function<Cell(std::size_t xi)> cell{};
+};
+
+SweepResult Study::run_sweep(const SweepSpec& spec,
+                             placement::Connectivity connectivity,
+                             const Options& options,
+                             std::vector<UserMetrics>* samples) const {
+  DOSN_REQUIRE(options.repetitions >= 1, "study: repetitions must be >= 1");
+  DOSN_REQUIRE(options.shard_size >= 1, "study: shard_size must be >= 1");
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = options.pool != nullptr
+                               ? *options.pool
+                               : local_pool.emplace(options.threads);
+
+  SweepResult result{dataset_.name, spec.model_name,
+                     placement::to_string(connectivity), spec.x_label,
+                     spec.xs, {}};
+  // Each policy is built once and names its curve. It repeats when the
+  // schedules or the policy itself draw randomness.
+  std::vector<std::unique_ptr<placement::ReplicaPolicy>> policies;
+  std::vector<std::size_t> reps;
+  std::size_t max_reps = 0;
+  for (const auto kind : options.policies) {
+    policies.push_back(placement::make_policy(kind, options.policy_params));
+    result.policies.push_back({policies.back()->name(), kind, {}});
+    reps.push_back(spec.randomized_schedules || policies.back()->randomized()
+                       ? options.repetitions
+                       : 1);
+    max_reps = std::max(max_reps, reps.back());
+  }
+
+  for (std::size_t xi = 0; xi < result.xs.size();) {
+    SweepSpec::Cell cell = spec.cell(xi);
+    if (options.cohort_limit > 0 && cell.cohort.size() > options.cohort_limit)
+      cell.cohort.resize(options.cohort_limit);
+    const std::size_t rows = cell.k_max - cell.first_k + 1;
+    xi += rows;
+    if (cell.cohort.empty()) {
+      for (auto& curve : result.policies)
+        curve.points.resize(curve.points.size() + rows);
+      continue;
+    }
+    // Runs (p, r) in repetition-major order; consecutive runs on the same
+    // realizations (the same storage, as each spans every user) reach
+    // evaluate_cohort in one call. means[p][j] holds the cohort means of
+    // row j of policy p's runs, in repetition order.
+    std::vector<std::vector<std::vector<CohortMetrics>>> means(
+        policies.size(), std::vector<std::vector<CohortMetrics>>(rows));
+    std::vector<CohortRun> runs;
+    std::vector<std::size_t> run_policy;
+    SweepSpec::Schedules shared;
+    const auto evaluate_runs = [&] {
+      const auto out = evaluate_cohort(
+          shared.placement, shared.evaluation, cell.cohort, runs,
+          connectivity, cell.first_k, cell.k_max, options.shard_size, pool,
+          samples);
+      for (std::size_t i = 0; i < runs.size(); ++i)
+        for (std::size_t j = 0; j < rows; ++j)
+          means[run_policy[i]][j].push_back(out[i][j]);
+      runs.clear();
+      run_policy.clear();
+    };
+    for (std::size_t r = 0; r < max_reps; ++r) {
+      const SweepSpec::Schedules schedules = cell.schedules(r);
+      if (!runs.empty() &&
+          (schedules.placement.data() != shared.placement.data() ||
+           schedules.evaluation.data() != shared.evaluation.data()))
+        evaluate_runs();
+      shared = schedules;
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        if (r >= reps[p]) continue;
+        runs.push_back({policies[p].get(),
+                        sweep_stream(seed_, spec.tag, cell.stream_x,
+                                     spec.first_slot + p, r)});
+        run_policy.push_back(p);
+      }
+    }
+    if (!runs.empty()) evaluate_runs();
+
+    for (std::size_t p = 0; p < policies.size(); ++p)
+      for (const auto& row : means[p])
+        result.policies[p].points.push_back(detail::average_runs(row));
+  }
+  return result;
+}
+
 SweepResult Study::replication_sweep(onlinetime::ModelKind model_kind,
                                      const onlinetime::ModelParams& params,
                                      placement::Connectivity connectivity,
@@ -301,15 +319,9 @@ SweepResult Study::replication_sweep(onlinetime::ModelKind model_kind,
 SweepResult Study::replication_sweep(const onlinetime::OnlineTimeModel& model,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
-  validate(options);
-  const std::size_t model_reps =
-      model.randomized() ? options.repetitions : 1;
-  std::vector<std::vector<DaySchedule>> schedules;
-  schedules.reserve(model_reps);
-  for (std::size_t r = 0; r < model_reps; ++r) {
-    util::Rng rng(detail::schedule_stream(seed_, r));
-    schedules.push_back(model.schedules(dataset_, rng));
-  }
+  const auto schedules =
+      realize(dataset_, model, options.repetitions,
+              [&](std::size_t r) { return detail::schedule_stream(seed_, r); });
   const std::vector<std::span<const DaySchedule>> realizations(
       schedules.begin(), schedules.end());
   return replication_sweep_over(realizations, model.randomized(),
@@ -320,7 +332,6 @@ SweepResult Study::replication_sweep(std::span<const DaySchedule> schedules,
                                      std::string_view model_name,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
-  validate(options);
   DOSN_REQUIRE(schedules.size() == dataset_.num_users(),
                "replication_sweep: schedule count mismatch");
   const std::array<std::span<const DaySchedule>, 1> realization{schedules};
@@ -333,78 +344,49 @@ SweepResult Study::replication_sweep_over(
     bool model_randomized, std::string_view model_name,
     placement::Connectivity connectivity, const Options& options) const {
   obs::ScopedTimer span("study.replication_sweep");
-  const auto cohort_users = sweep_cohort(options.cohort_degree, options);
+  const auto cohort_users = cohort(options.cohort_degree);
   DOSN_REQUIRE(!cohort_users.empty(),
                "replication_sweep: no user has the cohort degree");
-
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = std::string(model_name);
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "replication degree";
+  SweepSpec spec{.model_name = std::string(model_name),
+                 .x_label = "replication degree",
+                 .randomized_schedules = model_randomized,
+                 .tag = detail::kReplicationTag};
   for (std::size_t k = 0; k <= options.k_max; ++k)
-    result.xs.push_back(static_cast<double>(k));
-
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = sweep_pool(options, local_pool);
-  result.policies = empty_curves(options);
-  const auto policies = make_policies(options);
-  const auto reps =
-      policy_reps(policies, model_randomized, options.repetitions);
-  auto points = cell_points(
-      policies, reps, model_randomized,
-      [&](std::size_t p, std::size_t r) {
-        return sweep_stream(seed_, kReplicationTag, 0, p, r);
-      },
-      [&](std::span<const CohortRun> runs, std::size_t r) {
-        const auto sched = realizations[r];
-        return evaluate_cohort(sched, sched, cohort_users, runs, connectivity,
-                               0, options.k_max, options.shard_size, pool);
-      });
-  for (std::size_t p = 0; p < points.size(); ++p)
-    result.policies[p].points = std::move(points[p]);
-  return result;
+    spec.xs.push_back(static_cast<double>(k));
+  // One cell whose rows are the whole k axis.
+  spec.cell = [&](std::size_t) {
+    return SweepSpec::Cell{
+        cohort_users, 0, options.k_max, 0, [&](std::size_t r) {
+          const auto sched = realizations[model_randomized ? r : 0];
+          return SweepSpec::Schedules{sched, sched};
+        }};
+  };
+  return run_sweep(spec, connectivity, options);
 }
 
 SweepResult Study::session_length_sweep(
     std::span<const interval::Seconds> session_lengths, std::size_t k,
     placement::Connectivity connectivity, const Options& options) const {
   obs::ScopedTimer span("study.session_length_sweep");
-  validate(options);
-  const auto cohort_users = sweep_cohort(options.cohort_degree, options);
+  const auto cohort_users = cohort(options.cohort_degree);
   DOSN_REQUIRE(!cohort_users.empty(),
                "session_length_sweep: no user has the cohort degree");
-
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = "Sporadic";
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "session length (sec)";
-  for (const auto len : session_lengths)
-    result.xs.push_back(static_cast<double>(len));
-  result.policies = empty_curves(options);
-
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = sweep_pool(options, local_pool);
-  const auto policies = make_policies(options);
-  const auto reps = policy_reps(policies, false, options.repetitions);
-  for (std::size_t xi = 0; xi < session_lengths.size(); ++xi) {
-    const onlinetime::SporadicModel model(session_lengths[xi]);
+  SweepSpec spec{.model_name = "Sporadic",
+                 .x_label = "session length (sec)",
+                 .xs = std::vector<double>(session_lengths.begin(),
+                                           session_lengths.end()),
+                 .tag = detail::kSessionTag};
+  // One cell per session length, on a Sporadic realization of its own.
+  spec.cell = [&](std::size_t xi) {
     util::Rng model_rng(util::mix64(seed_, 0x3e550000 + xi));
-    const auto sched = model.schedules(dataset_, model_rng);
-    const auto points = cell_points(
-        policies, reps, false,
-        [&](std::size_t p, std::size_t r) {
-          return sweep_stream(seed_, kSessionTag, xi, p, r);
-        },
-        [&](std::span<const CohortRun> runs, std::size_t /*r*/) {
-          return evaluate_cohort(sched, sched, cohort_users, runs,
-                                 connectivity, k, k, options.shard_size, pool);
-        });
-    for (std::size_t p = 0; p < points.size(); ++p)
-      result.policies[p].points.push_back(points[p].front());
-  }
-  return result;
+    return SweepSpec::Cell{
+        cohort_users, k, k, xi,
+        [sched = onlinetime::SporadicModel(session_lengths[xi])
+                     .schedules(dataset_, model_rng)](std::size_t) {
+          return SweepSpec::Schedules{sched, sched};
+        }};
+  };
+  return run_sweep(spec, connectivity, options);
 }
 
 SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
@@ -415,85 +397,57 @@ SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
                                     std::size_t k,
                                     const Options& options) const {
   obs::ScopedTimer span("study.resilience_sweep");
-  validate(options);
   net::validate(base_plan);
   DOSN_REQUIRE(!intensities.empty(), "resilience_sweep: no intensities");
   for (const double f : intensities)
     DOSN_REQUIRE(f >= 0.0 && f <= 1.0,
                  "resilience_sweep: intensity outside [0, 1]");
   const auto model = onlinetime::make_model(model_kind, params);
-  const auto cohort_users = sweep_cohort(options.cohort_degree, options);
+  const auto cohort_users = cohort(options.cohort_degree);
   DOSN_REQUIRE(!cohort_users.empty(),
                "resilience_sweep: no user has the cohort degree");
 
   // Ideal schedules come from the replication_sweep stream seeds, so the
   // intensity-0 column equals the replication_sweep point at k (with
   // k_max = k) for deterministic policies — an identity the tests assert.
-  const std::size_t model_reps =
-      model->randomized() ? options.repetitions : 1;
-  std::vector<std::vector<DaySchedule>> schedules;
-  schedules.reserve(model_reps);
-  for (std::size_t r = 0; r < model_reps; ++r) {
-    util::Rng rng(detail::schedule_stream(seed_, r));
-    schedules.push_back(model->schedules(dataset_, rng));
-  }
-
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = model->name();
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "fault intensity";
-  result.xs.assign(intensities.begin(), intensities.end());
-  result.policies = empty_curves(options);
-
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = sweep_pool(options, local_pool);
-  const auto policies = make_policies(options);
-  const auto reps =
-      policy_reps(policies, model->randomized(), options.repetitions);
-  for (const double f : intensities) {
-    // Degraded schedules per repetition at this intensity, built lazily
-    // and shared across policies. The fault realization seed varies with
-    // the repetition but *not* the intensity: within a repetition the
-    // realizations are nested (scaled() preserves the seed), so every
-    // fault present at f1 is present at f2 >= f1 and the per-user online
-    // sets — hence availability — degrade exactly monotonically.
-    std::vector<std::vector<DaySchedule>> degraded(options.repetitions);
-    const auto degraded_for =
-        [&](std::size_t r) -> const std::vector<DaySchedule>& {
-      auto& slot = degraded[r];
-      if (slot.empty()) {
-        net::FaultPlan realization = base_plan;
-        realization.seed = util::mix64(seed_, base_plan.seed, r);
-        net::FaultInjector injector(net::scaled(realization, f));
-        const auto& ideal = schedules[model->randomized() ? r : 0];
-        slot.reserve(ideal.size());
-        for (std::size_t u = 0; u < ideal.size(); ++u)
-          slot.push_back(injector.degrade_day(u, ideal[u]));
-        injector.flush_stats();
-      }
-      return slot;
-    };
-
-    // Placement sees the ideal schedules; only the evaluation runs on the
-    // degraded ones, which differ per repetition. x = 0 in the stream id
-    // keeps randomized placements identical across intensities, preserving
-    // nesting.
-    const auto points = cell_points(
-        policies, reps, true,
-        [&](std::size_t p, std::size_t r) {
-          return sweep_stream(seed_, kFaultTag, 0, p, r);
-        },
-        [&](std::span<const CohortRun> runs, std::size_t r) {
-          return evaluate_cohort(schedules[model->randomized() ? r : 0],
-                                 degraded_for(r), cohort_users, runs,
-                                 connectivity, k, k, options.shard_size,
-                                 pool);
-        });
-    for (std::size_t p = 0; p < points.size(); ++p)
-      result.policies[p].points.push_back(points[p].front());
-  }
-  return result;
+  const auto ideal =
+      realize(dataset_, *model, options.repetitions,
+              [&](std::size_t r) { return detail::schedule_stream(seed_, r); });
+  SweepSpec spec{.model_name = model->name(),
+                 .x_label = "fault intensity",
+                 .xs = std::vector<double>(intensities.begin(),
+                                           intensities.end()),
+                 .randomized_schedules = model->randomized(),
+                 .tag = detail::kFaultTag};
+  // One cell per intensity. Placement sees the ideal schedules; only the
+  // evaluation runs on degraded ones, built lazily per repetition and
+  // shared across policies. Their seed varies with the repetition but
+  // *not* the intensity: within a repetition the realizations are nested
+  // (scaled() preserves the seed), so every fault present at f1 is present
+  // at f2 >= f1 and availability degrades exactly monotonically. x = 0 in
+  // the stream id keeps randomized placements identical across
+  // intensities, preserving nesting.
+  spec.cell = [&](std::size_t xi) {
+    return SweepSpec::Cell{
+        cohort_users, k, k, 0,
+        [&, f = intensities[xi],
+         degraded = std::vector<std::vector<DaySchedule>>(
+             options.repetitions)](std::size_t r) mutable {
+          const auto& sched = ideal[model->randomized() ? r : 0];
+          auto& slot = degraded[r];
+          if (slot.empty()) {
+            net::FaultPlan realization = base_plan;
+            realization.seed = util::mix64(seed_, base_plan.seed, r);
+            net::FaultInjector injector(net::scaled(realization, f));
+            slot.reserve(sched.size());
+            for (std::size_t u = 0; u < sched.size(); ++u)
+              slot.push_back(injector.degrade_day(u, sched[u]));
+            injector.flush_stats();
+          }
+          return SweepSpec::Schedules{sched, slot};
+        }};
+  };
+  return run_sweep(spec, connectivity, options);
 }
 
 std::vector<UserMetrics> Study::cohort_samples(
@@ -501,25 +455,31 @@ std::vector<UserMetrics> Study::cohort_samples(
     placement::Connectivity connectivity, placement::PolicyKind policy_kind,
     std::size_t k, const Options& options) const {
   obs::ScopedTimer span("study.cohort_samples");
-  validate(options);
   const auto model = onlinetime::make_model(model_kind, params);
-  const auto cohort_users = sweep_cohort(options.cohort_degree, options);
+  const auto cohort_users = cohort(options.cohort_degree);
   DOSN_REQUIRE(!cohort_users.empty(),
                "cohort_samples: no user has the cohort degree");
-
   util::Rng model_rng(util::mix64(seed_, 0xd157));
   const auto schedules = model->schedules(dataset_, model_rng);
-  const auto policy = placement::make_policy(policy_kind,
-                                             options.policy_params);
-  const CohortRun run{policy.get(),
-                      sweep_stream(seed_, kSamplesTag, 0,
-                                   static_cast<std::uint64_t>(policy_kind), 0)};
-  std::optional<util::ThreadPool> local_pool;
+
+  // A single run of the one policy, whose stream slot is its kind. A zero
+  // repetition count stays zero, so the driver still rejects it.
+  auto one_run = options;
+  one_run.policies = {policy_kind};
+  one_run.repetitions = std::min<std::size_t>(options.repetitions, 1);
+  const SweepSpec spec{
+      .model_name = model->name(),
+      .xs = {static_cast<double>(k)},
+      .tag = detail::kSamplesTag,
+      .first_slot = static_cast<std::uint64_t>(policy_kind),
+      .cell = [&](std::size_t) {
+        return SweepSpec::Cell{cohort_users, k, k, 0, [&](std::size_t) {
+                                 return SweepSpec::Schedules{schedules,
+                                                             schedules};
+                               }};
+      }};
   std::vector<UserMetrics> samples;
-  samples.reserve(cohort_users.size());
-  (void)evaluate_cohort(schedules, schedules, cohort_users, {&run, 1},
-                        connectivity, k, k, options.shard_size,
-                        sweep_pool(options, local_pool), &samples);
+  (void)run_sweep(spec, connectivity, one_run, &samples);
   return samples;
 }
 
@@ -538,51 +498,26 @@ SweepResult Study::user_degree_sweep(std::size_t max_degree,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
   obs::ScopedTimer span("study.user_degree_sweep");
-  validate(options);
-  const std::size_t model_reps =
-      model.randomized() ? options.repetitions : 1;
-  std::vector<std::vector<DaySchedule>> schedules;
-  for (std::size_t r = 0; r < model_reps; ++r) {
-    util::Rng rng(util::mix64(seed_, 0xde60000 + r));
-    schedules.push_back(model.schedules(dataset_, rng));
-  }
-
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = model.name();
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "user degree";
+  const auto schedules =
+      realize(dataset_, model, options.repetitions,
+              [&](std::size_t r) { return util::mix64(seed_, 0xde60000 + r); });
+  SweepSpec spec{.model_name = model.name(),
+                 .x_label = "user degree",
+                 .randomized_schedules = model.randomized(),
+                 .tag = detail::kDegreeTag};
   for (std::size_t d = 1; d <= max_degree; ++d)
-    result.xs.push_back(static_cast<double>(d));
-  result.policies = empty_curves(options);
-
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = sweep_pool(options, local_pool);
-  const auto policies = make_policies(options);
-  const auto reps =
-      policy_reps(policies, model.randomized(), options.repetitions);
-  for (std::size_t d = 1; d <= max_degree; ++d) {
-    const auto cohort_users = sweep_cohort(d, options);
-    if (cohort_users.empty()) {
-      for (auto& curve : result.policies)
-        curve.points.emplace_back();  // empty cohort: zeros
-      continue;
-    }
-    // k = user degree (the most replicas a user of degree d can have).
-    const auto points = cell_points(
-        policies, reps, model.randomized(),
-        [&](std::size_t p, std::size_t r) {
-          return sweep_stream(seed_, kDegreeTag, d, p, r);
-        },
-        [&](std::span<const CohortRun> runs, std::size_t r) {
-          const auto& sched = schedules[r];
-          return evaluate_cohort(sched, sched, cohort_users, runs,
-                                 connectivity, d, d, options.shard_size, pool);
-        });
-    for (std::size_t p = 0; p < points.size(); ++p)
-      result.policies[p].points.push_back(points[p].front());
-  }
-  return result;
+    spec.xs.push_back(static_cast<double>(d));
+  // One cell per degree d at k = d (the most replicas a user of degree d
+  // can have); a degree no user has gives zero points.
+  spec.cell = [&](std::size_t xi) {
+    const std::size_t d = xi + 1;
+    return SweepSpec::Cell{
+        cohort(d), d, d, d, [&](std::size_t r) {
+          const auto& sched = schedules[model.randomized() ? r : 0];
+          return SweepSpec::Schedules{sched, sched};
+        }};
+  };
+  return run_sweep(spec, connectivity, options);
 }
 
 std::uint64_t sweep_checksum(const SweepResult& result) {

@@ -20,17 +20,22 @@
 // repeated and averaged (default 5 repetitions); deterministic experiments
 // run once. Everything derives from one seed.
 //
-// Every sweep runs through one user-major core: the cohort is walked in
-// windows of consecutive cohort indices, split into parallel tasks on a
+// Each sweep is a short description run by one private driver: its header
+// (model name, x label, xs), whether its schedules differ per repetition,
+// its stream tag, and one cell per x (replication_sweep has one cell whose
+// rows are the k axis) giving the cohort, each repetition's placement and
+// evaluation schedules, and rows first_k..k_max. The driver checks the
+// options, takes the pool, builds each policy once and runs every cell
+// through one user-major core: the cohort is walked in windows of
+// consecutive cohort indices, split into parallel tasks on a
 // util::ThreadPool, and each user's table (sim::UserTable) serves every
-// (policy, repetition) run of a sweep cell that shares its schedules.
-// Every (run, user) pair draws from its own RNG stream derived with
-// util::mix64, and each window's rows are reduced serially into per-run
-// accumulators in cohort index order, so for a fixed seed the output is
-// bit-identical for every thread count and shard size, including the
-// serial threads = 1 reference. The core scales to million-user inputs
-// built by synth::build_scale_study_input (the precomputed-schedules
-// overload).
+// (policy, repetition) run of a cell that shares its schedules. Every (run,
+// user) pair draws from its own RNG stream derived with util::mix64, and
+// each window's rows are reduced serially into per-run accumulators in
+// cohort index order, so for a fixed seed the output is bit-identical for
+// every thread count and shard size, including the serial threads = 1
+// reference. The core scales to million-user inputs built by
+// synth::build_scale_study_input (the precomputed-schedules overload).
 #pragma once
 
 #include <memory>
@@ -232,9 +237,7 @@ class Study {
     std::uint64_t stream_seed = 0;
   };
 
-  /// Users with degree `degree`, truncated to options.cohort_limit.
-  std::vector<graph::UserId> sweep_cohort(std::size_t degree,
-                                          const Options& options) const;
+  struct SweepSpec;  ///< a sweep's description (defined in study.cpp)
 
   /// The replication sweep over one schedule realization per model
   /// repetition (a single entry when the model is deterministic).
@@ -243,17 +246,12 @@ class Study {
       bool model_randomized, std::string_view model_name,
       placement::Connectivity connectivity, const Options& options) const;
 
-  /// Every policy's points in one sweep cell: policy p runs reps[p]
-  /// repetitions, run (p, r) drawing from stream(p, r), and each point
-  /// averages the policy's runs. evaluate(runs, r) evaluates a run list
-  /// whose schedules are repetition r's. With `per_rep_schedules` each
-  /// repetition's runs get their own call; otherwise every run shares
-  /// repetition 0's schedules and one call takes them all.
-  template <typename Stream, typename Evaluate>
-  std::vector<std::vector<CohortMetrics>> cell_points(
-      std::span<const std::unique_ptr<placement::ReplicaPolicy>> policies,
-      std::span<const std::size_t> reps, bool per_rep_schedules,
-      Stream&& stream, Evaluate&& evaluate) const;
+  /// The one sweep driver (see the file comment). `samples`, when set,
+  /// receives every row that evaluate_cohort computes.
+  SweepResult run_sweep(const SweepSpec& spec,
+                        placement::Connectivity connectivity,
+                        const Options& options,
+                        std::vector<UserMetrics>* samples = nullptr) const;
 
   /// The engine's one per-user loop. The cohort is walked user by user in
   /// windows of shard × workers consecutive users, each window split into

@@ -121,12 +121,17 @@ std::uint64_t counter(const char* name) {
 // of each under UnconRep. A pair no run pushes is never evaluated.
 //
 // Every pick is pushed into the prefix delay (9 in the four runs, 2 in the
-// single runs), and every row with two or more participants and a nonzero
-// diameter passes its one-piece reader to the observed-delay kernel. Under
+// single runs). A row with two or more participants and a nonzero diameter
+// passes its one-piece reader to the observed-delay kernel only when its
+// (diameter, reader) pair differs from the run's last kernel call. Under
 // ConRep the owner (08-10) and contact 2 (12-16) never meet, so the rows
-// {owner, 2} have no diameter: 3 + 1 + 1 + 1 = 6 rows in the four runs,
-// 1 in the single runs. UnconRep connects every pair: 3 + 2 + 2 + 1 = 8
-// and 2.
+// {owner, 2} have no diameter, and pushing never-online contact 3 changes
+// neither value, so run {1, 2, 3} calls the kernel at {owner, 1} and
+// {owner, 1, 2} only: 2 + 1 + 1 + 1 = 5 calls in the four runs, 1 in the
+// single runs. UnconRep connects every pair, and {owner, 1} already has
+// the 22 h diameter that 2 and 3 leave as it is: run {1, 2, 3} calls once,
+// while {2, 1} and {3, 2, 1} call at {owner, 2} (20 h) and again when 1
+// lengthens it to 22 h: 1 + 2 + 2 + 1 = 6, and 2 in the single runs.
 TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
   const auto d = tiny_dataset();
   const std::vector<DaySchedule> schedules{window(8, 10), window(9, 13),
@@ -134,8 +139,8 @@ TEST(UserTableCounters, MemoFillsEachPairOncePerUser) {
   const ObsOn obs_on;
   for (const auto& [connectivity, all_pairs, two_pairs, observed,
                     single_observed] :
-       {std::tuple{Connectivity::kConRep, 3u, 2u, 6u, 1u},
-        std::tuple{Connectivity::kUnconRep, 6u, 4u, 8u, 2u}}) {
+       {std::tuple{Connectivity::kConRep, 3u, 2u, 5u, 1u},
+        std::tuple{Connectivity::kUnconRep, 6u, 4u, 6u, 2u}}) {
     SCOPED_TRACE(placement::to_string(connectivity));
     const std::vector<std::vector<graph::UserId>> runs{
         {1, 2, 3}, {2, 1}, {3, 2, 1}, {1}};

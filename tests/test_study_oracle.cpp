@@ -18,6 +18,8 @@
 // both contracts at small N where the materialized path is cheap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "eval_oracle.hpp"
 #include "graph/degree_stats.hpp"
 #include "net/fault.hpp"
@@ -494,6 +496,40 @@ TEST(StudyOracle, UserDegreeSweep) {
       [&](const sim::StudyOptions& o) {
         return study.user_degree_sweep(max_degree, ModelKind::kSporadic, {},
                                        Connectivity::kConRep, o);
+      },
+      [&](const SweepResult& sweep) {
+        expect_sweeps_identical(oracle, sweep);
+      });
+}
+
+// Past the hub background's largest degree (and in any gap below it) a
+// degree has no users, and the sweep appends a zero point there. The
+// engine must keep that branch, and the populated degrees around it,
+// equal to the oracle at every configuration; a randomized model gives
+// each populated degree one call per repetition.
+TEST(StudyOracle, UserDegreeSweepWithEmptyDegrees) {
+  const auto dataset = hub_dataset();
+  const auto options = base_options();
+  const std::size_t max_degree = 30;
+  const Study study(dataset, kSeed);
+  const auto oracle = oracle_user_degree_sweep(
+      dataset, max_degree, ModelKind::kRandomLength, Connectivity::kConRep,
+      options);
+  const auto& points = oracle.policies.front().points;
+  ASSERT_EQ(points.size(), max_degree);
+  EXPECT_TRUE(std::any_of(points.begin(), points.end(),
+                          [](const CohortMetrics& m) {
+                            return m.cohort_size == 0;
+                          }));
+  EXPECT_TRUE(std::any_of(points.begin(), points.end(),
+                          [](const CohortMetrics& m) {
+                            return m.cohort_size > 0;
+                          }));
+  for_each_configuration(
+      options,
+      [&](const sim::StudyOptions& o) {
+        return study.user_degree_sweep(max_degree, ModelKind::kRandomLength,
+                                       {}, Connectivity::kConRep, o);
       },
       [&](const SweepResult& sweep) {
         expect_sweeps_identical(oracle, sweep);

@@ -44,8 +44,18 @@ hardware (warn-only)
     prints both — a reader judging a speedup or RSS warning needs to know
     whether the two reports even ran on comparable hardware (a committed
     single-core-container baseline vs. a multi-core CI runner explains
-    most drift on its own). Never a failure: hardware changes are
-    expected, silent hardware changes are not.
+    most drift on its own). When only one of the two reports records the
+    field, the gate says so: the comparison cannot be made at all, which
+    is worth as much notice as a mismatch. Never a failure: hardware
+    changes are expected, silent hardware changes are not.
+
+scale (warn-only)
+    Reports that take a dataset scale record it as the top-level
+    ``scale``. When the baseline's and the current report's values
+    differ (e.g. a ``DOSN_BENCH_SCALE=0.1`` CI run against a baseline
+    recorded at 0.23), the gate prints both: the two runs timed
+    different work, so their seed-engine ratios need not agree. Never a
+    failure.
 
 speedup (warn-only)
     Parallel-scaling health for scenarios that time the same work in two
@@ -294,12 +304,34 @@ def warn_on_hardware_mismatch(baseline: dict, current: dict) -> None:
     below are only as comparable as the machines that produced them."""
     base_hw = baseline.get("hardware_threads")
     cur_hw = current.get("hardware_threads")
-    if base_hw is None or cur_hw is None or base_hw == cur_hw:
+    if (base_hw is None) != (cur_hw is None):
+        which, value = (("baseline", base_hw) if cur_hw is None
+                        else ("current report", cur_hw))
+        print(
+            f"  WARNING: only the {which} records hardware_threads "
+            f"({value}) — the two reports' hardware cannot be compared"
+        )
+        return
+    if base_hw == cur_hw:
         return
     print(
         f"  WARNING: hardware_threads differ: baseline ran with {base_hw}, "
         f"current with {cur_hw} — speedup and RSS comparisons span "
         "different hardware, read their warnings accordingly"
+    )
+
+
+def warn_on_scale_mismatch(baseline: dict, current: dict) -> None:
+    """Warn-only top-level ``scale`` comparison: reports run at different
+    dataset scales time different work."""
+    base_scale = baseline.get("scale")
+    cur_scale = current.get("scale")
+    if base_scale == cur_scale:
+        return
+    print(
+        f"  WARNING: scale differs: baseline ran at {base_scale}, current "
+        f"at {cur_scale} — the two reports timed different work, so their "
+        "ratios need not agree"
     )
 
 
@@ -311,6 +343,7 @@ def compare(baseline: dict, current: dict, threshold: float,
     current_by_name = {s["name"]: s for s in current["scenarios"]}
 
     warn_on_hardware_mismatch(baseline, current)
+    warn_on_scale_mismatch(baseline, current)
     warn_on_rss_growth("report", baseline, current)
 
     for cur in current["scenarios"]:
@@ -553,6 +586,45 @@ def self_test() -> int:
         failures += 1
         print("self-test FAIL: matching hardware must pass silently")
 
+    def expect_warning(label: str, base: dict, cur: dict,
+                       warning: str | None) -> None:
+        """compare(base, cur) passes and prints `warning` (None: prints no
+        WARNING line at all)."""
+        nonlocal failures
+        print(f"self-test: {label}")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            problems = compare(base, cur, DEFAULT_THRESHOLD)
+        sys.stdout.write(buf.getvalue())
+        if problems:
+            failures += 1
+            print(f"self-test FAIL: {label}: must pass, got {problems}")
+        if warning is None and "WARNING" in buf.getvalue():
+            failures += 1
+            print(f"self-test FAIL: {label}: expected no warning")
+        if warning is not None and warning not in buf.getvalue():
+            failures += 1
+            print(f"self-test FAIL: {label}: expected a warning mentioning "
+                  f"{warning!r}")
+
+    # hardware_threads recorded by only one report: the comparison cannot
+    # be made, so the gate says which side has it, either way round.
+    expect_warning("hardware_threads only in the current report warns",
+                   scale_baseline, hw_current,
+                   "only the current report records hardware_threads (1)")
+    expect_warning("hardware_threads only in the baseline warns",
+                   hw_baseline, scale_baseline,
+                   "only the baseline records hardware_threads (1)")
+
+    # A top-level scale mismatch (a CI-scale run against a baseline at
+    # another scale) warns with both values; a matching scale is silent.
+    scaled_baseline = dict(baseline, scale=0.23)
+    expect_warning("scale mismatch warns but passes", scaled_baseline,
+                   dict(baseline, scale=0.1),
+                   "scale differs: baseline ran at 0.23, current at 0.1")
+    expect_warning("matching scale stays silent", scaled_baseline,
+                   copy.deepcopy(scaled_baseline), None)
+
     # Serving latency gates: p50/p99 are deterministic simulated seconds,
     # gated directly.
     serving_baseline = {
@@ -613,7 +685,7 @@ def self_test() -> int:
     if failures:
         print(f"self-test: {failures} case(s) failed")
         return 1
-    print("self-test OK (25 cases)")
+    print("self-test OK (29 cases)")
     return 0
 
 
